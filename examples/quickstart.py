@@ -31,11 +31,15 @@ file exchanged with the parent) and ``n`` (execution file):
 >>> report.traversal.order[:3]
 ('root', 'right', 'right.a')
 
-The solvers run on the array-backed kernel by default; the original
-per-node implementations remain available as an oracle and always agree:
+Every solver runs on the array-backed kernel, which checks the weights
+once when it is built -- so a bad tree fails the same way everywhere:
 
->>> solve(tree, "minmem", engine="reference").peak_memory
-49.0
+>>> from repro import Tree
+>>> bad = Tree.from_parents([-1, 0, 0], f=[0.0, -5.0, 9.0], n=[10.0, 20.0, 12.0])
+>>> solve(bad, "postorder")
+Traceback (most recent call last):
+    ...
+ValueError: negative file size for node 1
 
 Postorder traversals (what sparse direct solvers use) can be arbitrarily
 worse than the optimum -- the paper's harpoon construction forces the gap:
@@ -74,7 +78,7 @@ The full scenario-sweep campaign lives behind the CLI::
 
     repro-treemem bench --smoke --json     # run + write BENCH_<timestamp>.json
     repro-treemem bench --compare OLD NEW  # exit 1 on regressions
-    repro-treemem bench --filter large --engine kernel
+    repro-treemem bench --filter large
 """
 
 from repro import compare, list_solvers, solve, solve_many

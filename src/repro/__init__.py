@@ -9,17 +9,14 @@ The library is organised in seven layers:
     Task-tree model, traversal checkers, the three MinMemory algorithms
     (``PostOrder``, ``Liu``, ``MinMem``), the MinIO out-of-core scheduler with
     its six eviction heuristics, exhaustive oracles and pebble-game special
-    cases.  Every solver hot path runs on the flat array-backed
-    :class:`TreeKernel` of :mod:`repro.core.kernel` by default
-    (``engine="reference"`` selects the original per-node implementations).
+    cases.  Every solver runs on the flat array-backed :class:`TreeKernel`
+    of :mod:`repro.core.kernel`, one implementation per algorithm.
 ``repro.sparse``
     The sparse-matrix substrate that produces the assembly trees the paper
     evaluates on: matrix generators, fill-reducing orderings, elimination
     trees, symbolic factorization, supernode amalgamation and a multifrontal
     Cholesky engine.  The symbolic pipeline (etree, column counts, column
-    patterns, amalgamation) follows the same ``engine="kernel"|"reference"``
-    convention as the solvers: vectorized flat-array implementations by
-    default, the per-entry originals as the test oracle.
+    patterns, amalgamation) runs on vectorized flat-array implementations.
 ``repro.generators``
     Synthetic tree families: harpoon graphs (Theorems 1 and 2), random-weight
     trees (Section VI-E), and parametric shapes.
@@ -93,8 +90,6 @@ re-exported below; ``solve`` is a thin dispatch layer over them.
 from .core import (
     BOTTOMUP,
     TOPDOWN,
-    ExploreResult,
-    ExploreSolver,
     KernelExploreSolver,
     LiuResult,
     MemoryProfile,
@@ -155,8 +150,6 @@ __all__ = [
     "MemoryProfile",
     "TOPDOWN",
     "BOTTOMUP",
-    "ExploreSolver",
-    "ExploreResult",
     "KernelExploreSolver",
     "LiuResult",
     "MinMemResult",

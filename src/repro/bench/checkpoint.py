@@ -13,7 +13,7 @@ File schema (one JSON document per line):
 * line 1 -- the header::
 
       {"kind": "header", "version": 1, "params": {"seed": ..., "repeat": ...,
-       "warmup": ..., "scenarios": [...], "engine": ..., "validate": ...}}
+       "warmup": ..., "scenarios": [...], "validate": ...}}
 
   ``params`` holds every knob that shapes cell *results*; resuming with a
   different value raises (a journal from another campaign cannot be
@@ -48,7 +48,7 @@ __all__ = ["CampaignJournal", "JournalError"]
 JOURNAL_VERSION = 1
 
 #: the result-shaping parameters a resumed run must repeat exactly
-_VALIDATED_PARAMS = ("seed", "repeat", "warmup", "scenarios", "engine", "validate")
+_VALIDATED_PARAMS = ("seed", "repeat", "warmup", "scenarios", "validate")
 
 
 class JournalError(ValueError):

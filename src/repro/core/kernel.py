@@ -22,18 +22,17 @@ array-based versions of every hot path:
 * :func:`kernel_liu` -- Liu's exact hill--valley algorithm with the segment
   merge running on plain float tuples;
 * :class:`KernelExploreSolver` / :func:`kernel_min_mem` -- the paper's
-  Explore/MinMem pair with incrementally-maintained cut sums (the reference
-  implementation recomputes ``sum(f)`` over the cut per candidate, which is
-  quadratic in the cut size);
+  Explore/MinMem pair with incrementally-maintained cut sums (recomputing
+  ``sum(f)`` over the cut per candidate would be quadratic in the cut
+  size);
 * :func:`kernel_replay_traversal` / :func:`kernel_replay_schedule` -- the
   replay engine's peak-memory/IO recomputation on index arrays;
 * :func:`kernel_out_of_core` -- the MinIO eviction simulator with an
   incrementally-maintained resident size.
 
 Nothing here recurses: every sweep is an explicit loop or an explicit stack,
-so 100k-node chains are as safe as balanced trees.  The reference (per-node,
-dict-based) implementations remain available behind ``engine="reference"``
-on the public entry points and serve as the test oracle.
+so 100k-node chains are as safe as balanced trees.  The original per-node,
+dict-based implementations live on in the test suite as oracles.
 
 A kernel is built once per tree -- :meth:`Tree.kernel()
 <repro.core.tree.Tree.kernel>` caches it and invalidates the cache on
@@ -91,7 +90,9 @@ def flatten_chunks(nested) -> List[int]:
 
 NodeId = Hashable
 
-#: absolute tolerance for memory comparisons (mirrors repro.core.explore)
+#: absolute tolerance for memory comparisons; file sizes are user-scale
+#: quantities (bytes, matrix entries), so accumulated rounding noise is many
+#: orders of magnitude below this threshold while genuine differences are not.
 _EPS = 1e-9
 
 
@@ -175,8 +176,9 @@ class TreeKernel:
         Raises
         ------
         ValueError
-            If the parent array is not topologically ordered or the lengths
-            disagree.
+            If the parent array is not topologically ordered, the lengths
+            disagree, or a weight breaks :meth:`validate_weights` -- the one
+            check every solver's input passes through.
         """
         p = len(parent)
         if len(f) != p or len(n) != p:
@@ -229,6 +231,7 @@ class TreeKernel:
         self.mem_req = [fvals[i] + nvals[i] + cfs[i] for i in range(p)]
         self._base = None
         self._dirty = None
+        self.validate_weights()
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -485,8 +488,19 @@ class TreeKernel:
 
         Raises ``ValueError`` on non-finite weights, negative file sizes or
         negative memory requirements.  The structural invariants (single
-        root, acyclicity, connectivity) hold by construction.
+        root, acyclicity, connectivity) hold by construction.  The
+        constructor runs this check, so every solver input has passed it.
         """
+        # builtin sums and minima first: a finite sum rules out NaN and
+        # infinite terms, and only an input that fails pays for the per-node
+        # loop that names the offending node (5x cheaper on valid trees)
+        if (
+            math.isfinite(sum(self.f))
+            and math.isfinite(sum(self.n))
+            and min(self.f) >= 0
+            and min(self.mem_req) >= 0
+        ):
+            return
         for i in range(self.size):
             fv, nv, mr = self.f[i], self.n[i], self.mem_req[i]
             if fv != fv or abs(fv) == math.inf:
@@ -755,9 +769,14 @@ def _canonical(
 ) -> List[Tuple[float, float, tuple]]:
     """Cut an event profile into its canonical hill--valley representation.
 
-    Same construction as :func:`repro.core.liu._canonical_segments` (one
-    backward sweep for suffix maxima/minima, one forward sweep for the
-    cuts), producing plain tuples instead of ``Segment`` objects.
+    ``events`` is a list of ``(peak_during, level_after, nodes)`` triples in
+    execution order.  Each segment starts where the previous one ended,
+    peaks at the maximum remaining peak and is cut at the *last* position
+    achieving the minimum residual level reached at or after that peak.
+    This yields non-increasing hills and non-decreasing valleys, and packs
+    runs of events with identical residual levels into a single segment
+    (interrupting such a run cannot help a parent).  One backward sweep
+    computes the suffix maxima/minima, one forward sweep the cuts.
     """
     n_events = len(events)
     first_max = [0] * n_events
@@ -937,19 +956,22 @@ def kernel_liu_patch(
 # Explore / MinMem: the paper's Algorithms 3 and 4 on index arrays
 # ----------------------------------------------------------------------
 class KernelExploreSolver:
-    """Array-based counterpart of :class:`repro.core.explore.ExploreSolver`.
+    """Stateful driver for repeated ``Explore`` calls (paper Algorithm 3).
 
-    Semantics are identical (including the per-node resume states and the
-    ``reuse_states=False`` literal-pseudocode mode); the differences are
-    mechanical: nodes are indices, per-node state lives in flat lists, and
-    the resident size of the current cut is maintained incrementally instead
-    of being re-summed per candidate.
+    ``Explore`` descends top-down from a node whose input file is resident:
+    a node of the current *cut* (the frontier of resident input files) is
+    expanded whenever the available memory allows, and the expansion
+    replaces the node's file by its own best cut whenever that shrinks the
+    resident size.  Every node keeps its reached state, so a later call
+    with more memory resumes where the previous one stopped -- the
+    ``L_init`` / ``Tr_init`` mechanism of the paper, generalised to every
+    node.  Nodes are kernel indices, per-node state lives in flat lists, and
+    the resident size of the current cut is maintained incrementally.
 
     Parameters
     ----------
     kern : TreeKernel
-        The flat tree (weights are validated once here, mirroring the
-        ``tree.validate()`` call of the reference solver).
+        The flat tree.
     reuse_states : bool
         Keep every node's reached exploration state across sweeps (the fast
         mode); ``False`` retains only the entry node's state, exactly as in
@@ -957,7 +979,6 @@ class KernelExploreSolver:
     """
 
     def __init__(self, kern: TreeKernel, *, reuse_states: bool = True) -> None:
-        kern.validate_weights()
         self.kern = kern
         self.reuse_states = reuse_states
         self._peak_of = list(kern.mem_req)
@@ -1304,12 +1325,11 @@ def kernel_out_of_core(
 ) -> Tuple[Dict[int, int], float, float]:
     """Out-of-core simulation of a top-down ``order`` (indices) on the kernel.
 
-    Faithful port of :func:`repro.core.minio.scheduler.run_out_of_core`'s
-    hot loop: whenever the next node does not fit, the evictable resident
-    files (latest-scheduled-first) are offered to ``selector``; any
-    shortfall is topped up in LSNF order.  The resident size is maintained
-    incrementally -- the reference re-sums the resident dict per step, which
-    is quadratic.
+    The hot loop of :func:`repro.core.minio.scheduler.run_out_of_core`:
+    whenever the next node does not fit, the evictable resident files
+    (latest-scheduled-first) are offered to ``selector``; any shortfall is
+    topped up in LSNF order.  The resident size is maintained incrementally
+    (re-summing the resident set per step would be quadratic).
 
     Parameters
     ----------

@@ -12,15 +12,10 @@ schedule is always consistent with the paper's Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple, Union
+from typing import Hashable, Union
 
-from ..traversal import (
-    TOPDOWN,
-    OutOfCoreSchedule,
-    Traversal,
-    TraversalError,
-    is_topological,
-)
+from ..kernel import TreeKernel, kernel_out_of_core
+from ..traversal import TOPDOWN, OutOfCoreSchedule, Traversal, TraversalError
 from ..tree import Tree
 from .heuristics import Selector, get_heuristic
 
@@ -70,8 +65,6 @@ def run_out_of_core(
     memory: float,
     traversal: Traversal,
     heuristic: Union[str, Selector] = "first_fit",
-    *,
-    engine: str = "kernel",
 ) -> OutOfCoreResult:
     """Simulate an out-of-core execution of ``traversal`` with ``memory``.
 
@@ -90,115 +83,40 @@ def run_out_of_core(
         Name of one of the six eviction policies of Section V-B (see
         :data:`repro.core.minio.heuristics.HEURISTICS`) or a custom selector
         ``candidates, io_req -> victims``.
-    engine : str
-        ``"kernel"`` (default) runs the array-backed simulator of
-        :func:`repro.core.kernel.kernel_out_of_core` (incremental resident
-        accounting); ``"reference"`` runs the original dict-based loop (kept
-        as the test oracle).  Both produce identical schedules.
 
     Returns
     -------
     OutOfCoreResult
-        Schedule, I/O volume and bookkeeping counters.
+        Schedule, I/O volume and bookkeeping counters.  The simulation
+        itself is :func:`repro.core.kernel.kernel_out_of_core` (incremental
+        resident accounting).
     """
-    if engine not in ("kernel", "reference"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'kernel' or 'reference'")
     selector = get_heuristic(heuristic) if isinstance(heuristic, str) else heuristic
     traversal = traversal.as_convention(TOPDOWN)
 
-    if engine == "kernel":
-        from ..kernel import TreeKernel, kernel_out_of_core
-
-        kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-        try:
-            order = kern.order_to_indices(traversal.order)
-        except KeyError:
-            raise TraversalError("order is not a permutation of the tree nodes") from None
-        if len(order) != kern.size or len(set(order)) != kern.size:
-            raise TraversalError("order is not a permutation of the tree nodes")
-        seen = [False] * kern.size
-        for i in order:  # top-down: every parent before its children
-            par = kern.parent[i]
-            if par >= 0 and not seen[par]:
-                raise TraversalError("traversal violates precedence constraints")
-            seen[i] = True
-        max_req = kern.max_mem_req()
-        if memory < max_req - _EPS:
-            raise ValueError(
-                f"memory {memory} is below the largest node requirement "
-                f"{max_req}; no execution exists"
-            )
-        evictions_idx, io_total, peak_resident = kernel_out_of_core(
-            kern, memory, order, selector, eps=_EPS
-        )
-        evictions = {kern.ids[i]: step for i, step in evictions_idx.items()}
-        schedule = OutOfCoreSchedule(traversal=traversal, evictions=evictions)
-        return OutOfCoreResult(
-            schedule=schedule,
-            io_volume=io_total,
-            io_operations=len(evictions),
-            peak_resident=peak_resident,
-        )
-
-    if not isinstance(tree, Tree):
-        tree = tree.to_tree()
-    if not is_topological(tree, traversal):
-        raise TraversalError("traversal violates precedence constraints")
-    if memory < tree.max_mem_req() - _EPS:
+    kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
+    try:
+        order = kern.order_to_indices(traversal.order)
+    except KeyError:
+        raise TraversalError("order is not a permutation of the tree nodes") from None
+    if len(order) != kern.size or len(set(order)) != kern.size:
+        raise TraversalError("order is not a permutation of the tree nodes")
+    seen = [False] * kern.size
+    for i in order:  # top-down: every parent before its children
+        par = kern.parent[i]
+        if par >= 0 and not seen[par]:
+            raise TraversalError("traversal violates precedence constraints")
+        seen[i] = True
+    max_req = kern.max_mem_req()
+    if memory < max_req - _EPS:
         raise ValueError(
             f"memory {memory} is below the largest node requirement "
-            f"{tree.max_mem_req()}; no execution exists"
+            f"{max_req}; no execution exists"
         )
-
-    pos = traversal.position()
-    resident: Dict[NodeId, float] = {tree.root: tree.f(tree.root)}
-    on_disk: set = set()
-    evictions: Dict[NodeId, int] = {}
-    io_total = 0.0
-    peak_resident = tree.f(tree.root)
-
-    for step, node in enumerate(traversal.order):
-        # 1. read the input file back if it was unloaded
-        if node in on_disk:
-            on_disk.discard(node)
-            resident[node] = tree.f(node)
-
-        # 2. determine how much must be freed to execute the node
-        extra = tree.mem_req(node) - tree.f(node)
-        m_avail = memory - sum(resident.values())
-        io_req = extra - m_avail
-        if io_req > _EPS:
-            candidates = _candidates(tree, resident, pos, node)
-            victims = selector(candidates, io_req)
-            freed = 0.0
-            for victim in victims:
-                freed += resident.pop(victim)
-                on_disk.add(victim)
-                evictions[victim] = step
-                io_total += tree.f(victim)
-            if freed + _EPS < io_req:
-                # The heuristic did not free enough; finish with LSNF order so
-                # the execution always proceeds (possible since M >= MemReq).
-                for victim, size in _candidates(tree, resident, pos, node):
-                    if freed >= io_req - _EPS:
-                        break
-                    freed += resident.pop(victim)
-                    on_disk.add(victim)
-                    evictions[victim] = step
-                    io_total += size
-            if freed + _EPS < io_req:
-                raise ValueError(
-                    "infeasible eviction: not enough resident files to free"
-                )
-
-        # 3. execute the node
-        peak_resident = max(
-            peak_resident, sum(resident.values()) + extra
-        )
-        resident.pop(node, None)
-        for child in tree.children(node):
-            resident[child] = tree.f(child)
-
+    evictions_idx, io_total, peak_resident = kernel_out_of_core(
+        kern, memory, order, selector, eps=_EPS
+    )
+    evictions = {kern.ids[i]: step for i, step in evictions_idx.items()}
     schedule = OutOfCoreSchedule(traversal=traversal, evictions=evictions)
     return OutOfCoreResult(
         schedule=schedule,
@@ -206,15 +124,3 @@ def run_out_of_core(
         io_operations=len(evictions),
         peak_resident=peak_resident,
     )
-
-
-def _candidates(
-    tree: Tree,
-    resident: Dict[NodeId, float],
-    pos: Dict[NodeId, int],
-    current: NodeId,
-) -> List[Tuple[NodeId, float]]:
-    """Evictable files ordered latest-scheduled-first (the paper's set ``S``)."""
-    nodes = [v for v in resident if v != current]
-    nodes.sort(key=lambda v: pos[v], reverse=True)
-    return [(v, resident[v]) for v in nodes]

@@ -3,8 +3,8 @@
 :class:`FaultyBackend` wraps any registered :class:`ExecutorBackend` and
 executes a :class:`~repro.faults.plan.FaultPlan` against the cell stream
 passing through it.  The wrapped backend is untouched -- the whole point of
-the decorator shape is that persistent/fresh/threads/serial/dask all run
-under chaos with zero code changes to the backends themselves.
+the decorator shape is that persistent/threads/serial all run under chaos
+with zero code changes to the backends themselves.
 
 Position bookkeeping is the subtle part.  Faults are keyed by *cell
 sequence number*: the order cells are **first** submitted.  The resilience
@@ -88,9 +88,7 @@ class FaultyBackend(ExecutorBackend):
         self.summary = inner.summary
         self.ships_arena = inner.ships_arena
         self.releases_gil = inner.releases_gil
-        self.distributed = inner.distributed
         self.supports_futures = inner.supports_futures
-        self.service = inner.service
 
     # ------------------------------------------------------------------
     @property

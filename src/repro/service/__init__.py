@@ -41,7 +41,7 @@ The open-loop traffic benchmarks over this daemon live in
 :mod:`repro.bench.traffic`.
 """
 
-from .daemon import SERVICE_POOL_MODES, ServiceStats, SolverService
+from .daemon import ServiceStats, SolverService
 from .errors import (
     BadRequestError,
     CircuitOpenError,
@@ -67,7 +67,6 @@ from .stdio import run_stdio_server, serve_stdio
 __all__ = [
     "SolverService",
     "ServiceStats",
-    "SERVICE_POOL_MODES",
     "ServiceError",
     "BadRequestError",
     "UnknownTreeTokenError",

@@ -15,10 +15,10 @@ control loop modelled on the scatter-once / stop-flag structure of treeck's
   worker processes exactly once;
 * **dispatch**: a dispatcher task feeds admitted requests to the executor --
   per-request futures on a :class:`~repro.solvers.engine.SolveEngine` over
-  any service-capable executor backend (``pool="persistent"`` processes,
-  ``pool="threads"``, ``pool="dask"``) or an in-process thread pool
-  (``pool="serial"``, also the automatic fallback where the backend is
-  unavailable) -- with a bounded number in flight;
+  an executor backend (``pool="persistent"`` processes,
+  ``pool="threads"``) or an in-process thread pool (``pool="serial"``, also
+  the automatic fallback where the backend is unavailable) -- with a
+  bounded number in flight;
 * **report**: the response carries the frozen
   :class:`~repro.solvers.SolveReport` plus the queue/solve/total timing
   breakdown.
@@ -75,15 +75,9 @@ from .protocol import (
     parse_request,
 )
 
-__all__ = ["SolverService", "ServiceStats", "SERVICE_POOL_MODES"]
+__all__ = ["SolverService", "ServiceStats"]
 
 _log = get_logger("service")
-
-#: executor modes of the service, straight from the backend registry --
-#: every future-capable backend plus forced in-process execution (also the
-#: automatic fallback); ``fresh`` is excluded, a one-shot pool per request
-#: being the antithesis of a long-lived daemon
-SERVICE_POOL_MODES = backend_names(service_only=True)
 
 
 @dataclass
@@ -185,13 +179,13 @@ class SolverService:
         ``None``/``0``/``1`` with the default pool selects the in-process
         thread executor instead.
     pool:
-        Executor backend of the service (any name in
-        :data:`SERVICE_POOL_MODES`).  Non-serial modes make the service own
-        a :class:`~repro.solvers.engine.SolveEngine` on that backend
-        (``"persistent"`` processes + shared-memory arena, ``"threads"``,
-        ``"dask"``), shut down with the service; ``"serial"`` uses an
-        in-process thread pool (deterministic, sandbox-safe).  ``None``
-        picks ``"persistent"`` when ``workers > 1``.  Unknown strings raise
+        Executor backend of the service (any registered backend name).
+        Non-serial modes make the service own a
+        :class:`~repro.solvers.engine.SolveEngine` on that backend
+        (``"persistent"`` processes + shared-memory arena, ``"threads"``),
+        shut down with the service; ``"serial"`` uses an in-process thread
+        pool (deterministic, sandbox-safe).  ``None`` picks
+        ``"persistent"`` when ``workers > 1``.  Unknown strings raise
         :class:`ValueError` eagerly, mirroring ``solve_many``.
     max_pending:
         Admission bound on requests alive in the service (queued plus
@@ -203,8 +197,6 @@ class SolverService:
     default_deadline:
         Deadline (seconds) applied to requests that do not carry one;
         ``None`` = no implicit deadline.
-    solver_options:
-        Options merged under every request's own (e.g. ``engine="kernel"``).
     interner_capacity:
         LRU size of the tree interner.
     breaker_threshold / breaker_cooldown:
@@ -229,7 +221,6 @@ class SolverService:
         max_pending: int = 128,
         max_inflight: Optional[int] = None,
         default_deadline: Optional[float] = None,
-        solver_options: Optional[Dict[str, Any]] = None,
         interner_capacity: int = 512,
         use_shared_memory: Optional[bool] = None,
         breaker_threshold: int = 5,
@@ -237,10 +228,10 @@ class SolverService:
         breaker: Optional[CircuitBreaker] = None,
         fault_plan: Optional[Any] = None,
     ) -> None:
-        if pool not in (None, *SERVICE_POOL_MODES):
+        if pool not in (None, *backend_names()):
             raise ValueError(
                 f"unknown service pool mode {pool!r}; expected one of "
-                f"{SERVICE_POOL_MODES}"
+                f"{backend_names()}"
             )
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -258,7 +249,6 @@ class SolverService:
             raise ValueError("max_inflight must be >= 1")
         self.max_inflight = max_inflight
         self.default_deadline = default_deadline
-        self.solver_options = dict(solver_options or {})
         self.interner = TreeInterner(capacity=interner_capacity)
         self.stats = ServiceStats()
         self.breaker = breaker if breaker is not None else CircuitBreaker(
@@ -560,7 +550,7 @@ class SolverService:
                 request.tree,
                 request.algorithm,
                 request.memory,
-                {**self.solver_options, **request.options},
+                request.options,
             )
             try:
                 report, tier = await self._run_cell(cell, pending)
@@ -636,7 +626,7 @@ class SolverService:
                 from concurrent.futures.process import BrokenProcessPool
 
                 try:
-                    report = await self._await_engine_future(exec_future)
+                    report = await asyncio.wrap_future(exec_future)
                 except BrokenProcessPool:
                     # a worker crashed mid-request: feed the breaker, heal
                     # the backend, and give this request its answer
@@ -666,22 +656,6 @@ class SolverService:
             trace.begin("solve")
         report = await loop.run_in_executor(self._threads(), _solve_task, cell)
         return report, ("threads" if self._engine is not None else "serial")
-
-    @staticmethod
-    async def _await_engine_future(exec_future):
-        """Await any backend's future without blocking the event loop.
-
-        In-process backends hand out :class:`concurrent.futures.Future`
-        (bridged by ``asyncio.wrap_future``); dask futures only share the
-        blocking ``result()`` surface, so they park on the default thread
-        executor instead.
-        """
-        import concurrent.futures
-
-        if isinstance(exec_future, concurrent.futures.Future):
-            return await asyncio.wrap_future(exec_future)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, exec_future.result)
 
     def _threads(self):
         if self._thread_pool is None:

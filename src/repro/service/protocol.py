@@ -11,7 +11,7 @@ Request::
       "algorithm": "minmem",           # any registered solver (default minmem)
       "memory": 12.5,                  # optional budget (budgeted solvers)
       "deadline": 0.5,                 # optional seconds, from acceptance
-      "options": {"engine": "kernel"}, # solver options (lenient dispatch)
+      "options": {"rule": "liu"},      # solver options (lenient dispatch)
       "report": "full"                 # "full" | "summary" | "none"
     }
 
@@ -110,13 +110,16 @@ def _tree_from_payload(payload: Dict[str, Any]) -> Tree:
                 isinstance(p, int) and 0 <= p < i
                 for i, p in enumerate(parents[1:], start=1)
             )
+            # both forms cache the kernel, so the engine arena can export
+            # the tree without a per-request rebuild, and its weight check
+            # turns a bad weight into a bad request here
             if topological:
-                # the fast path also caches the kernel, so the engine arena
-                # can export the tree without a per-request rebuild
                 return Tree.from_parents(parents, f=f, n=n, build_kernel=True)
             from ..core.builders import from_parent_list
 
-            return from_parent_list(parents, f=f, n=n)
+            tree = from_parent_list(parents, f=f, n=n)
+            tree.kernel()
+            return tree
         except (TreeValidationError, ValueError, TypeError) as exc:
             raise BadRequestError(f"invalid tree payload: {exc}") from None
     if "nodes" in payload:

@@ -34,7 +34,6 @@ from .portfolio import (  # noqa: E402  (registers the "auto" solver)
     tree_features,
 )
 from .engine import (  # noqa: E402
-    BackendUnavailableError,
     EngineStoppedError,
     ExecutorBackend,
     SolveEngine,
@@ -75,7 +74,6 @@ __all__ = [
     "RACE_NODE_THRESHOLD",
     "ROUTING_TABLE",
     "tree_features",
-    "BackendUnavailableError",
     "EngineStoppedError",
     "ExecutorBackend",
     "SolveEngine",

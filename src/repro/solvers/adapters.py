@@ -10,7 +10,7 @@ name                      family      underlying implementation
 ``postorder_subtree_memory`` postorder ``postorder_with_rule(rule="subtree_memory")``
 ``liu``                   exact       :func:`repro.core.liu.liu_optimal_traversal`
 ``minmem``                exact       :func:`repro.core.minmem.min_mem`
-``explore``               explore     :class:`repro.core.explore.ExploreSolver`
+``explore``               explore     :class:`repro.core.kernel.KernelExploreSolver`
 ``minio``                 minio       :func:`repro.core.minio.run_out_of_core`
 ``minio_<heuristic>``     minio       same, with the eviction policy pinned
 ========================  ==========  ===============================================
@@ -24,35 +24,26 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..core.explore import ExploreSolver
 from ..core.kernel import (
     KernelExploreSolver,
     TreeKernel,
     flatten_chunks,
+    kernel_liu,
+    kernel_postorder,
     kernel_replay_traversal,
 )
-from ..core.liu import flatten_nodes, liu_optimal_traversal
 from ..core.minio import HEURISTICS, run_out_of_core
 from ..core.minmem import min_mem
-from ..core.postorder import POSTORDER_RULES, postorder_with_rule
-from ..core.traversal import (
-    BOTTOMUP,
-    TOPDOWN,
-    Traversal,
-    TraversalError,
-    peak_memory,
-)
+from ..core.postorder import POSTORDER_RULES
+from ..core.traversal import BOTTOMUP, TOPDOWN, Traversal, TraversalError
 from ..core.tree import Tree
 from .registry import register_solver
 from .report import SolveReport
 
-__all__ = ["DEFAULT_ALGORITHM", "ENGINES", "MINMEMORY_SOLVERS"]
+__all__ = ["DEFAULT_ALGORITHM", "MINMEMORY_SOLVERS"]
 
 #: the facade's default algorithm: exact and fast on assembly trees
 DEFAULT_ALGORITHM = "minmem"
-
-#: the two execution engines every built-in solver understands
-ENGINES = ("kernel", "reference")
 
 #: canonical names of the three MinMemory solvers compared throughout the paper
 MINMEMORY_SOLVERS = ("postorder", "liu", "minmem")
@@ -66,23 +57,20 @@ def _as_kernel(tree) -> TreeKernel:
 # ----------------------------------------------------------------------
 # MinMemory family: PostOrder and its child-ordering rules
 # ----------------------------------------------------------------------
-def _postorder_report(tree: Tree, rule: str, engine: str) -> SolveReport:
-    if engine == "kernel" and rule in POSTORDER_RULES:
-        # fast path: the report only needs the peak and the order, so skip
-        # the per-node subtree_peak / child_order dicts of PostOrderResult
-        from ..core.kernel import kernel_postorder
-
-        kern = _as_kernel(tree)
-        memory, order_idx, _, _ = kernel_postorder(kern, rule)
-        traversal = Traversal(kern.order_to_ids(order_idx), BOTTOMUP)
-    else:
-        result = postorder_with_rule(tree, rule=rule, engine=engine)
-        memory, traversal = result.memory, result.traversal
+def _postorder_report(tree: Tree, rule: str) -> SolveReport:
+    if rule not in POSTORDER_RULES:
+        raise ValueError(
+            f"unknown postorder rule {rule!r}; expected one of {POSTORDER_RULES}"
+        )
+    # the report only needs the peak and the order, so skip the per-node
+    # subtree_peak / child_order dicts of PostOrderResult
+    kern = _as_kernel(tree)
+    memory, order_idx, _, _ = kernel_postorder(kern, rule)
     return SolveReport(
         algorithm="postorder" if rule == "liu" else f"postorder_{rule}",
         peak_memory=memory,
-        traversal=traversal,
-        extras={"rule": rule, "engine": engine},
+        traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
+        extras={"rule": rule},
     )
 
 
@@ -92,11 +80,9 @@ def _postorder_report(tree: Tree, rule: str, engine: str) -> SolveReport:
     summary="best postorder traversal (Liu's child-ordering rule)",
     aliases=("PostOrder", "best_postorder"),
 )
-def _solve_postorder(
-    tree: Tree, *, rule: str = "liu", engine: str = "kernel", **_ignored
-) -> SolveReport:
+def _solve_postorder(tree: Tree, *, rule: str = "liu", **_ignored) -> SolveReport:
     """Memory-optimal postorder traversal; ``rule`` selects the child order."""
-    return _postorder_report(tree, rule, engine)
+    return _postorder_report(tree, rule)
 
 
 @register_solver(
@@ -104,10 +90,8 @@ def _solve_postorder(
     family="postorder",
     summary="postorder with children in insertion order (naive baseline)",
 )
-def _solve_postorder_natural(
-    tree: Tree, *, engine: str = "kernel", **_ignored
-) -> SolveReport:
-    return _postorder_report(tree, "natural", engine)
+def _solve_postorder_natural(tree: Tree, **_ignored) -> SolveReport:
+    return _postorder_report(tree, "natural")
 
 
 @register_solver(
@@ -115,10 +99,8 @@ def _solve_postorder_natural(
     family="postorder",
     summary="postorder with children by increasing subtree peak (folklore rule)",
 )
-def _solve_postorder_subtree(
-    tree: Tree, *, engine: str = "kernel", **_ignored
-) -> SolveReport:
-    return _postorder_report(tree, "subtree_memory", engine)
+def _solve_postorder_subtree(tree: Tree, **_ignored) -> SolveReport:
+    return _postorder_report(tree, "subtree_memory")
 
 
 # ----------------------------------------------------------------------
@@ -130,26 +112,16 @@ def _solve_postorder_subtree(
     summary="Liu's exact hill--valley algorithm (optimal over all traversals)",
     aliases=("Liu",),
 )
-def _solve_liu(tree: Tree, *, engine: str = "kernel", **_ignored) -> SolveReport:
-    if engine == "kernel":
-        # fast path: skip the subtree_peak dict and the Segment objects of
-        # LiuResult; the report only records the peak, order and segment count
-        from ..core.kernel import kernel_liu
-
-        kern = _as_kernel(tree)
-        memory, order_idx, _, root_segments = kernel_liu(kern)
-        return SolveReport(
-            algorithm="liu",
-            peak_memory=memory,
-            traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
-            extras={"segments": len(root_segments), "engine": engine},
-        )
-    result = liu_optimal_traversal(tree, engine=engine)
+def _solve_liu(tree: Tree, **_ignored) -> SolveReport:
+    # skip the subtree_peak dict and the Segment objects of LiuResult; the
+    # report only records the peak, order and segment count
+    kern = _as_kernel(tree)
+    memory, order_idx, _, root_segments = kernel_liu(kern)
     return SolveReport(
         algorithm="liu",
-        peak_memory=result.memory,
-        traversal=result.traversal,
-        extras={"segments": len(result.segments), "engine": engine},
+        peak_memory=memory,
+        traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
+        extras={"segments": len(root_segments)},
     )
 
 
@@ -160,9 +132,9 @@ def _solve_liu(tree: Tree, *, engine: str = "kernel", **_ignored) -> SolveReport
     aliases=("MinMem",),
 )
 def _solve_minmem(
-    tree: Tree, *, reuse_states: bool = True, engine: str = "kernel", **_ignored
+    tree: Tree, *, reuse_states: bool = True, **_ignored
 ) -> SolveReport:
-    result = min_mem(tree, reuse_states=reuse_states, engine=engine)
+    result = min_mem(tree, reuse_states=reuse_states)
     return SolveReport(
         algorithm="minmem",
         peak_memory=result.memory,
@@ -171,7 +143,6 @@ def _solve_minmem(
             "iterations": result.iterations,
             "explore_calls": result.explore_calls,
             "reuse_states": reuse_states,
-            "engine": engine,
         },
     )
 
@@ -189,44 +160,26 @@ def _solve_explore(
     *,
     memory: Optional[float] = None,
     reuse_states: bool = True,
-    engine: str = "kernel",
     **_ignored,
 ) -> SolveReport:
     """Partial traversal reachable with ``memory`` (default ``max MemReq``)."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "kernel":
-        kern = _as_kernel(tree)
-        if memory is None:
-            memory = kern.max_mem_req()
-        solver = KernelExploreSolver(kern, reuse_states=reuse_states)
-        resident, cut, chunks, peak, required = solver.explore(0, memory)
-        order = kern.order_to_ids(flatten_chunks(chunks))
-        completed = len(order) == kern.size
-        cut_ids = [kern.ids[j] for j in cut]
-    else:
-        if not isinstance(tree, Tree):
-            tree = tree.to_tree()
-        if memory is None:
-            memory = tree.max_mem_req()
-        solver = ExploreSolver(tree, reuse_states=reuse_states)
-        result = solver.explore(tree.root, memory)
-        resident, peak, required = result.resident, result.peak, result.required
-        order = tuple(flatten_nodes(result.traversal_chunks))
-        completed = len(order) == tree.size
-        cut_ids = list(result.cut)
+    kern = _as_kernel(tree)
+    if memory is None:
+        memory = kern.max_mem_req()
+    solver = KernelExploreSolver(kern, reuse_states=reuse_states)
+    resident, cut, chunks, peak, required = solver.explore(0, memory)
+    order = kern.order_to_ids(flatten_chunks(chunks))
     return SolveReport(
         algorithm="explore",
         peak_memory=required,
         traversal=Traversal(order, TOPDOWN),
         extras={
             "memory_limit": memory,
-            "completed": completed,
+            "completed": len(order) == kern.size,
             "resident": resident,
-            "cut": cut_ids,
+            "cut": [kern.ids[j] for j in cut],
             # memory unlocking the next node; "inf" when fully processed
             "next_peak": "inf" if math.isinf(peak) else peak,
-            "engine": engine,
         },
     )
 
@@ -241,47 +194,37 @@ def _minio_report(
     traversal: Optional[Traversal],
     traversal_algorithm: str,
     in_core_peak: Optional[float],
-    engine: str,
 ) -> SolveReport:
     # local import: the facade imports this module at package init time
     from .facade import _dispatch
 
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if traversal is None:
-        # lenient dispatch: third-party base solvers need not declare the
-        # engine option (it is dropped for them, exactly as in solve_many)
-        base = _dispatch(
-            tree, traversal_algorithm, None, {"engine": engine}, strict=False
-        )
+        base = _dispatch(tree, traversal_algorithm, None, {}, strict=False)
         traversal, in_core_peak = base.traversal, base.peak_memory
         traversal_algorithm = base.algorithm
     else:
         if in_core_peak is None:
             # callers sweeping many memory values over one traversal should
             # pass in_core_peak to skip this O(p) replay
-            if engine == "kernel" or not isinstance(tree, Tree):
-                kern = _as_kernel(tree)
-                try:
-                    in_core_peak, _, _ = kernel_replay_traversal(
-                        kern,
-                        kern.order_to_indices(traversal.order),
-                        topdown=traversal.convention == TOPDOWN,
-                    )
-                except KeyError:
-                    raise TraversalError(
-                        "order is not a permutation of the tree nodes"
-                    ) from None
-                except ValueError as exc:
-                    raise TraversalError(str(exc)) from None
-            else:
-                in_core_peak = peak_memory(tree, traversal)
+            kern = _as_kernel(tree)
+            try:
+                in_core_peak, _, _ = kernel_replay_traversal(
+                    kern,
+                    kern.order_to_indices(traversal.order),
+                    topdown=traversal.convention == TOPDOWN,
+                )
+            except KeyError:
+                raise TraversalError(
+                    "order is not a permutation of the tree nodes"
+                ) from None
+            except ValueError as exc:
+                raise TraversalError(str(exc)) from None
         traversal_algorithm = "given"
     if memory is None:
         # the CLI's historical default: halfway between the bound below which
         # no execution exists and the in-core peak of the traversal
         memory = (tree.max_mem_req() + in_core_peak) / 2.0
-    result = run_out_of_core(tree, memory, traversal, heuristic, engine=engine)
+    result = run_out_of_core(tree, memory, traversal, heuristic)
     return SolveReport(
         algorithm=f"minio_{heuristic}",
         peak_memory=result.peak_resident,
@@ -294,7 +237,6 @@ def _minio_report(
             "io_operations": result.io_operations,
             "traversal_algorithm": traversal_algorithm,
             "in_core_peak": in_core_peak,
-            "engine": engine,
         },
     )
 
@@ -313,12 +255,11 @@ def _solve_minio(
     traversal: Optional[Traversal] = None,
     traversal_algorithm: str = DEFAULT_ALGORITHM,
     in_core_peak: Optional[float] = None,
-    engine: str = "kernel",
     **_ignored,
 ) -> SolveReport:
     """Replay a traversal out-of-core; evicts files with ``heuristic``."""
     return _minio_report(
-        tree, heuristic, memory, traversal, traversal_algorithm, in_core_peak, engine
+        tree, heuristic, memory, traversal, traversal_algorithm, in_core_peak
     )
 
 
@@ -335,11 +276,10 @@ def _register_minio_variant(heuristic: str) -> None:
         traversal: Optional[Traversal] = None,
         traversal_algorithm: str = DEFAULT_ALGORITHM,
         in_core_peak: Optional[float] = None,
-        engine: str = "kernel",
         **_ignored,
     ) -> SolveReport:
         return _minio_report(
-            tree, heuristic, memory, traversal, traversal_algorithm, in_core_peak, engine
+            tree, heuristic, memory, traversal, traversal_algorithm, in_core_peak
         )
 
 

@@ -11,7 +11,7 @@ computed chunk size.
 Execution strategies are pluggable: :class:`~.dispatch.SolveEngine`
 delegates to an :class:`~.backends.ExecutorBackend` chosen by name from
 the backend registry (:func:`~.backends.backend_names` -- ``persistent``,
-``fresh``, ``serial``, ``threads``, and the optional ``dask``).
+``serial`` and ``threads``).
 ``solve_many(..., pool=...)`` routes through the matching process-wide
 engine from :func:`get_engine`; :func:`shutdown_engine` releases every
 default engine's workers and shared segments explicitly (also registered
@@ -28,7 +28,6 @@ SolveEngine() as eng:``), and ``shutdown`` is idempotent.
 from .arena import TreeArena, TreeRef, resolve, worker_cache_info
 from .backends import (
     BackendSpec,
-    BackendUnavailableError,
     ExecutorBackend,
     ExecutorUnavailable,
     backend_names,
@@ -45,7 +44,6 @@ __all__ = [
     "TreeRef",
     "PersistentPool",
     "BackendSpec",
-    "BackendUnavailableError",
     "ExecutorBackend",
     "ExecutorUnavailable",
     "EngineStoppedError",

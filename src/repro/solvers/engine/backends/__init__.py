@@ -7,20 +7,17 @@ their allowed values and descriptions from it via
 :func:`~.base.backend_names` / :func:`~.base.backend_table`, so a new
 backend registers once and appears everywhere.
 
-======== ==========================================================
-mode     strategy
-======== ==========================================================
+========== ==========================================================
+mode       strategy
+========== ==========================================================
 persistent shared-memory process engine, workers + trees reused
-fresh      legacy one-shot process pool per call
 serial     forced in-process execution (the reference)
 threads    persistent in-process thread pool
-dask       dask.distributed cluster (optional dependency)
-======== ==========================================================
+========== ==========================================================
 """
 
 from .base import (
     BackendSpec,
-    BackendUnavailableError,
     ExecutorBackend,
     ExecutorUnavailable,
     backend_names,
@@ -29,19 +26,14 @@ from .base import (
     get_backend_spec,
     register_backend,
 )
-from .dask import DaskBackend
-from .fresh import FreshBackend
 from .persistent import PersistentBackend
 from .serial import SerialBackend
 from .threads import ThreadsBackend
 
 __all__ = [
     "BackendSpec",
-    "BackendUnavailableError",
     "ExecutorBackend",
     "ExecutorUnavailable",
-    "DaskBackend",
-    "FreshBackend",
     "PersistentBackend",
     "SerialBackend",
     "ThreadsBackend",
@@ -52,14 +44,9 @@ __all__ = [
     "register_backend",
 ]
 
-# registration order == POOL_MODES order (kept stable for callers pinning
-# the historical ("persistent", "fresh", "serial") prefix)
+# registration order == POOL_MODES order
 register_backend(
     "persistent", PersistentBackend, summary=PersistentBackend.summary
 )
-register_backend("fresh", FreshBackend, summary=FreshBackend.summary)
 register_backend("serial", SerialBackend, summary=SerialBackend.summary)
 register_backend("threads", ThreadsBackend, summary=ThreadsBackend.summary)
-register_backend(
-    "dask", DaskBackend, summary=DaskBackend.summary, requires="distributed"
-)

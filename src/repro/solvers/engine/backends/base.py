@@ -1,13 +1,11 @@
 """The :class:`ExecutorBackend` protocol and the backend registry.
 
 An *executor backend* is the strategy object behind the solve engine: it
-owns the actual worker plumbing (a process pool, a thread pool, a dask
-cluster -- or nothing at all) and exposes one small protocol the three call
-sites above it share:
+owns the actual worker plumbing (a process pool, a thread pool -- or nothing
+at all) and exposes one small protocol the three call sites above it share:
 
 * ``scatter(trees)`` -- pre-ship tree kernels to the workers (arena export,
-  ``client.scatter(..., broadcast=True)``, or a no-op for in-process
-  backends);
+  or a no-op for in-process backends);
 * ``map_cells(cells, workers)`` -- solve a batch of cells, blocking, in cell
   order;
 * ``submit_cell(cell, workers)`` / ``submit_chunk(cells, workers)`` -- the
@@ -19,18 +17,15 @@ Capability flags describe what the layers above may assume:
 
 =================== ======================================================
 ``ships_arena``     kernels are shipped to the workers out of band (shared
-                    memory or scatter/broadcast), so payloads are compact
-                    tokens rather than pickled trees
+                    memory), so payloads are compact tokens rather than
+                    pickled trees
 ``releases_gil``    work leaves the parent interpreter's GIL (separate
-                    processes or a cluster); ``False`` for the in-process
-                    backends, where parallel speed-up waits on the
-                    compiled (GIL-releasing) solver tier
-``distributed``     workers may live on other hosts
+                    processes); ``False`` for the in-process backends,
+                    where parallel speed-up waits on the compiled
+                    (GIL-releasing) solver tier
 ``supports_futures`` ``submit_cell``/``submit_chunk`` are implemented; the
                     campaign planner only work-splits on such backends and
                     falls back to blocking ``map_cells`` otherwise
-``service``         usable as a ``serve --pool`` mode (``fresh`` is not:
-                    a one-shot pool per request defeats a daemon)
 =================== ======================================================
 
 The registry (:func:`register_backend` / :func:`backend_names` /
@@ -42,12 +37,10 @@ Registration order is presentation order, so ``POOL_MODES`` stays stable.
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 __all__ = [
-    "BackendUnavailableError",
     "ExecutorUnavailable",
     "ExecutorBackend",
     "BackendSpec",
@@ -62,23 +55,12 @@ __all__ = [
 Cell = Tuple[Any, str, Optional[float], Dict[str, Any]]
 
 
-class BackendUnavailableError(ValueError):
-    """A registered backend cannot be constructed in this environment.
-
-    Raised by :func:`create_backend` when the backend's optional dependency
-    (e.g. ``dask[distributed]``) is not installed.  A :class:`ValueError`
-    subclass so the facade and CLI surface it like any other bad ``pool=``
-    argument instead of degrading silently.
-    """
-
-
 class ExecutorUnavailable(RuntimeError):
     """A live backend cannot execute work *right now* on this platform.
 
     Raised from ``map_cells``/``submit_cell`` when e.g. the sandbox cannot
     spawn subprocesses.  The engine catches it, warns once, and degrades to
-    serial execution -- unlike :class:`BackendUnavailableError`, which is a
-    caller-facing configuration error.
+    serial execution.
     """
 
 
@@ -156,9 +138,7 @@ class ExecutorBackend:
     summary: str = ""
     ships_arena: bool = False
     releases_gil: bool = False
-    distributed: bool = False
     supports_futures: bool = True
-    service: bool = True
 
     # ------------------------------------------------------------------
     # execution
@@ -195,7 +175,7 @@ class ExecutorBackend:
         """Discard broken worker plumbing so the next call rebuilds it."""
 
     def stop(self) -> None:
-        """Best-effort cooperative stop signal (cluster backends)."""
+        """Best-effort cooperative stop signal (no-op by default)."""
 
     def shutdown(self) -> None:
         """Release workers and shipped state (idempotent)."""
@@ -207,55 +187,30 @@ class ExecutorBackend:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One registry entry: the backend class plus its metadata.
-
-    ``requires`` names an optional dependency module; :func:`create_backend`
-    refuses with :class:`BackendUnavailableError` when it is missing, so an
-    unimportable backend still *lists* (CLI help, docs) but fails loudly
-    and early when selected.
-    """
+    """One registry entry: the backend class plus its metadata."""
 
     name: str
     cls: Type[ExecutorBackend]
     summary: str
-    requires: Optional[str] = None
-
-    @property
-    def available(self) -> bool:
-        if self.requires is None:
-            return True
-        return importlib.util.find_spec(self.requires) is not None
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
 
 
 def register_backend(
-    name: str,
-    cls: Type[ExecutorBackend],
-    *,
-    summary: str,
-    requires: Optional[str] = None,
+    name: str, cls: Type[ExecutorBackend], *, summary: str
 ) -> BackendSpec:
     """Register ``cls`` under ``name`` (insertion order is listing order)."""
     if name in _REGISTRY:
         raise ValueError(f"executor backend {name!r} is already registered")
-    spec = BackendSpec(name=name, cls=cls, summary=summary, requires=requires)
+    spec = BackendSpec(name=name, cls=cls, summary=summary)
     _REGISTRY[name] = spec
     return spec
 
 
-def backend_names(*, service_only: bool = False) -> Tuple[str, ...]:
-    """Registered backend names, in registration order.
-
-    ``service_only=True`` restricts to backends usable as ``serve --pool``
-    modes (drops ``fresh``).
-    """
-    return tuple(
-        name
-        for name, spec in _REGISTRY.items()
-        if not service_only or spec.cls.service
-    )
+def backend_names() -> Tuple[str, ...]:
+    """Registered backend names, in registration order."""
+    return tuple(_REGISTRY)
 
 
 def get_backend_spec(name: str) -> BackendSpec:
@@ -275,18 +230,8 @@ def create_backend(name: str, **options: Any) -> ExecutorBackend:
     ------
     ValueError
         Unknown name (the message lists the registered backends).
-    BackendUnavailableError
-        The backend's optional dependency is not installed.
     """
-    spec = get_backend_spec(name)
-    if not spec.available:
-        raise BackendUnavailableError(
-            f"pool={name!r} needs the optional dependency "
-            f"{spec.requires!r} (pip install 'dask[distributed]')"
-            if spec.requires == "distributed"
-            else f"pool={name!r} needs the optional dependency {spec.requires!r}"
-        )
-    return spec.cls(**options)
+    return get_backend_spec(name).cls(**options)
 
 
 def backend_table() -> List[BackendSpec]:

@@ -61,7 +61,7 @@ class SolveEngine:
 
     ``backend`` is a registry name (``"persistent"``, ``"threads"``, ...)
     or an already-constructed :class:`~.backends.ExecutorBackend` (tests,
-    injected dask clients); extra keyword arguments go to the backend
+    the fault injector's wrapper); extra keyword arguments go to the backend
     constructor.  ``use_shared_memory`` is forwarded to the persistent
     backend's arena, preserving the historical signature.
     """
@@ -133,7 +133,7 @@ class SolveEngine:
         Work already accepted keeps running -- this is the first half of a
         graceful drain (reject new, finish old); :meth:`shutdown` is the
         second half and clears the flag again.  The backend's own stop
-        signal (dask's gather abandon) is raised alongside.
+        signal is raised alongside.
         """
         self._stopping.set()
         self.backend.stop()
@@ -249,19 +249,16 @@ class SolveEngine:
         admission, dispatch and completion.  On the persistent backend the
         tree is interned in the shared arena exactly as in the batch path
         (idempotent per kernel: a request stream hitting the same tree ships
-        it to the workers once); on dask the kernel is scattered once.
-        ``None`` means the platform cannot run this backend -- callers fall
-        back to in-process execution; the engine's stop flag raises
-        :class:`EngineStoppedError` instead, so a draining daemon never
-        quietly enqueues new work.
+        it to the workers once).  ``None`` means the platform cannot run
+        this backend -- callers fall back to in-process execution; the
+        engine's stop flag raises :class:`EngineStoppedError` instead, so a
+        draining daemon never quietly enqueues new work.
 
         Unlike :meth:`run_batch`, infrastructure failures surface on the
         *returned future* (e.g. ``BrokenProcessPool``), because by then the
         caller has moved on; callers owning a fallback executor should
         re-run the cell there.  The future is a
-        :class:`concurrent.futures.Future` for in-process backends and a
-        dask future for ``dask`` -- both expose ``result``/``cancel``/
-        ``done``.
+        :class:`concurrent.futures.Future`.
         """
         self._check_stopped()
         cores = os.cpu_count() or 1
@@ -320,7 +317,7 @@ class SolveEngine:
         service daemon embeds in every ``/stats`` document and exports under
         ``/metrics``.  The backend contributes its own sub-documents
         (``pool``/``arena`` for the persistent engine, ``pool`` for
-        threads, ``cluster`` for dask); worker kernel-cache hit rates need
+        threads); worker kernel-cache hit rates need
         a worker round trip, so they are sampled separately
         (:meth:`sample_worker_caches`).
         """

@@ -42,9 +42,8 @@ DEFAULT_COMPARE_ALGORITHMS = ("postorder", "liu", "minmem")
 
 #: executor modes for parallel batches, straight from the backend registry
 #: (one source of truth shared with ``bench --pool`` and ``serve --pool``):
-#: the persistent shared-memory process engine (default), a one-shot pool
-#: per call (legacy), forced serial execution, a persistent in-process
-#: thread pool, and an optional ``dask.distributed`` cluster
+#: the persistent shared-memory process engine (default), forced serial
+#: execution, and a persistent in-process thread pool
 POOL_MODES = backend_names()
 
 AlgorithmArg = Union[str, Sequence[str]]
@@ -136,8 +135,7 @@ def solve(
         :mod:`repro.solvers.incremental`.
     options
         Solver-specific keyword options (e.g. ``rule=`` for ``postorder``,
-        ``heuristic=`` for ``minio``, ``reuse_states=`` for ``minmem``,
-        ``engine="kernel"|"reference"`` for every built-in solver).
+        ``heuristic=`` for ``minio``, ``reuse_states=`` for ``minmem``).
         Options the solver does not declare raise :class:`TypeError`, so a
         typo cannot silently fall back to a default.
 
@@ -254,13 +252,9 @@ def solve_many(
         :data:`POOL_MODES`): ``pool="persistent"`` (the default) reuses the
         process-wide :class:`~repro.solvers.engine.SolveEngine` -- workers
         stay alive across calls and every tree's kernel is shipped to them
-        exactly once through the shared arena; ``pool="fresh"`` restores
-        the legacy one-shot pool per call; ``pool="threads"`` runs on a
-        persistent in-process thread pool; ``pool="dask"`` fans out to a
-        ``dask.distributed`` cluster (optional dependency; raises a
-        :class:`ValueError` subclass when dask is not installed);
-        ``pool="serial"`` forces in-process execution regardless of
-        ``workers``.
+        exactly once through the shared arena; ``pool="threads"`` runs on a
+        persistent in-process thread pool; ``pool="serial"`` forces
+        in-process execution regardless of ``workers``.
 
     Returns
     -------

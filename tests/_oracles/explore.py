@@ -18,7 +18,7 @@ The :class:`ExploreSolver` keeps per-node *resume states* so that a later
 exploration of the same node with more memory continues from where the
 previous one stopped instead of starting from scratch -- this is the
 ``L_init`` / ``Tr_init`` mechanism of the paper, generalised to every node,
-and it is what makes :func:`repro.core.minmem.min_mem` fast in practice.
+and it is what makes MinMem fast in practice.
 Setting ``reuse_states=False`` reproduces the literal pseudocode: between two
 top-level calls only the entry node's reached state (``L_init`` /
 ``Tr_init``) survives, and everything below it is re-explored.
@@ -26,6 +26,9 @@ top-level calls only the entry node's reached state (``L_init`` /
 The recursion of Algorithm 3 is replaced by a generator-based trampoline so
 that arbitrarily deep trees (long chains) do not hit the interpreter recursion
 limit.
+
+This is the per-node reference the tests compare
+:class:`repro.core.kernel.KernelExploreSolver` against.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from .tree import Tree
+from repro.core.tree import Tree
 
 __all__ = ["ExploreResult", "ExploreSolver"]
 

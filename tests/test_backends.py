@@ -2,17 +2,14 @@
 
 Four concerns, mirroring the call sites that share the seam:
 
-* the registry is the single source of truth: names, capability flags,
-  unavailable-dependency errors, and the CLI ``--pool`` choices all agree;
+* the registry is the single source of truth: names, capability flags and
+  the CLI ``--pool`` choices all agree;
 * the parity matrix: every registered algorithm (the ``auto`` portfolio and
   ``reuse=`` incremental re-solves included) is bit-identical across the
-  ``serial``/``fresh``/``persistent``/``threads`` backends;
+  ``serial``/``persistent``/``threads`` backends;
 * the engine lifecycle (stop -> reject new work -> shutdown -> re-arm);
 * the campaign planner's straggler re-splitting is an execution detail:
   exactly one record per cell, bit-identical to the serial campaign.
-
-The ``dask`` backend has its own module (``tests/test_dask_backend.py``)
-gated on the optional dependency; here only its *registration* is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.core.builders import chain_tree
 from repro.core.kernel import TreeKernel
 from repro.core.traversal import BOTTOMUP, Traversal
 from repro.solvers import (
-    BackendUnavailableError,
     SolveReport,
     backend_names,
     backend_table,
@@ -51,8 +47,8 @@ from repro.solvers.facade import POOL_MODES
 
 from _helpers import make_random_tree
 
-#: the backends exercised locally (dask needs the optional dependency)
-LOCAL_POOLS = ("serial", "fresh", "persistent", "threads")
+#: every registered backend
+LOCAL_POOLS = ("serial", "persistent", "threads")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -68,36 +64,24 @@ def _shutdown_engines():
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_registration_order_and_pool_modes(self):
-        assert backend_names() == ("persistent", "fresh", "serial", "threads", "dask")
+        assert backend_names() == ("persistent", "serial", "threads")
         assert POOL_MODES == backend_names()
         assert [spec.name for spec in backend_table()] == list(backend_names())
-
-    def test_service_only_drops_fresh(self):
-        assert backend_names(service_only=True) == (
-            "persistent",
-            "serial",
-            "threads",
-            "dask",
-        )
 
     def test_capability_flags(self):
         flags = {
             spec.name: (
                 spec.cls.ships_arena,
                 spec.cls.releases_gil,
-                spec.cls.distributed,
                 spec.cls.supports_futures,
-                spec.cls.service,
             )
             for spec in backend_table()
         }
         assert flags == {
-            # (ships_arena, releases_gil, distributed, supports_futures, service)
-            "persistent": (True, True, False, True, True),
-            "fresh": (False, True, False, False, False),
-            "serial": (False, False, False, False, True),
-            "threads": (False, False, False, True, True),
-            "dask": (True, True, True, True, True),
+            # (ships_arena, releases_gil, supports_futures)
+            "persistent": (True, True, True),
+            "serial": (False, False, False),
+            "threads": (False, False, True),
         }
 
     def test_every_spec_has_a_summary(self):
@@ -111,27 +95,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match="persistent"):
             create_backend("bogus")
 
-    def test_dask_unavailable_is_a_loud_value_error(self):
-        # the CI optional-deps job installs dask; locally it must be absent
-        # for this test (see tests/test_dask_backend.py for the other side)
-        spec = get_backend_spec("dask")
-        if spec.available:
-            pytest.skip("dask is installed; unavailability path not reachable")
-        with pytest.raises(BackendUnavailableError, match=r"dask\[distributed\]"):
-            create_backend("dask")
-        assert issubclass(BackendUnavailableError, ValueError)
-
     def test_solve_many_validates_pool_from_registry(self):
         tree = chain_tree(4, f=2.0, n=1.0)
         with pytest.raises(ValueError, match="unknown pool mode"):
             solve_many([tree], "minmem", pool="bogus")
-
-    def test_solve_many_surfaces_missing_dependency(self):
-        if get_backend_spec("dask").available:
-            pytest.skip("dask is installed; unavailability path not reachable")
-        trees = [chain_tree(4, f=2.0, n=1.0), chain_tree(5, f=2.0, n=1.0)]
-        with pytest.raises(BackendUnavailableError, match="optional dependency"):
-            solve_many(trees, "minmem", workers=2, pool="dask")
 
 
 class TestCliChoices:
@@ -161,9 +128,9 @@ class TestCliChoices:
             assert spec.name in help_text
 
     def test_serve_offers_service_backends_only(self):
+        # every registered backend can serve the daemon
         choices, _ = self._pool_choices("serve")
-        assert choices == backend_names(service_only=True)
-        assert "fresh" not in choices
+        assert choices == backend_names()
 
 
 # ----------------------------------------------------------------------

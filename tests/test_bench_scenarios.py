@@ -238,13 +238,13 @@ class TestCampaignPlanner:
                 self._campaign(), seed=3, repeat=2, warmup=1,
                 workers=workers, pool=pool,
             )
-            for pool in ("serial", "fresh", "persistent")
+            for pool in ("serial", "threads", "persistent")
         }
         stripped = {
             pool: [replace(r, best_time=0.0, mean_time=0.0) for r in run.records]
             for pool, run in runs.items()
         }
-        assert stripped["serial"] == stripped["fresh"] == stripped["persistent"]
+        assert stripped["serial"] == stripped["threads"] == stripped["persistent"]
         # record order (and therefore keys) is also identical
         keys = [r.key for r in runs["serial"].records]
         assert [r.key for r in runs["persistent"].records] == keys

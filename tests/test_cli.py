@@ -26,6 +26,22 @@ class TestParser:
         assert parser.parse_args(["minmem", "x.json"]).command == "minmem"
         assert parser.parse_args(["experiment", "fig5"]).which == "fig5"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "x.json"],
+            ["pipeline", "--grid2d", "3"],
+            ["bench", "--list"],
+            ["serve", "--stdio"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--engine", "kernel"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestMinMemCommand:
     def test_prints_all_algorithms(self, tree_file, capsys):
@@ -86,16 +102,22 @@ class TestPipelineCommand:
         assert "minmem" in out
 
     def test_json_output_both_engines_agree(self, capsys):
-        docs = []
-        for engine in ("kernel", "reference"):
-            assert main(["pipeline", "--grid2d", "9", "--engine", engine,
-                         "--json"]) == 0
-            docs.append(json.loads(capsys.readouterr().out))
-        kernel, reference = docs
-        assert kernel["nnz_l"] == reference["nnz_l"]
-        assert kernel["supernodes"] == reference["supernodes"]
-        peaks = lambda doc: [r["peak_memory"] for r in doc["reports"]]  # noqa: E731
-        assert peaks(kernel) == peaks(reference)
+        # the CLI pipeline against the per-entry / per-node oracles
+        import _oracles
+        from repro.sparse.matrices import grid_laplacian_2d
+
+        assert main(["pipeline", "--grid2d", "9", "--json"]) == 0
+        kernel = json.loads(capsys.readouterr().out)
+        reference = _oracles.sparse.build_assembly_tree(
+            grid_laplacian_2d(9), ordering="rcm", relaxed=1
+        )
+        assert kernel["nnz_l"] == reference.symbolic.nnz_l
+        assert kernel["supernodes"] == reference.tree.size
+        peaks = [
+            _oracles.solve(reference.tree, name).peak_memory
+            for name in ("postorder", "liu", "minmem")
+        ]
+        assert [r["peak_memory"] for r in kernel["reports"]] == peaks
 
     def test_mtx_source_and_algorithm_selection(self, tmp_path, capsys):
         from repro.sparse.matrices import grid_laplacian_2d
@@ -158,6 +180,22 @@ class TestServeCommand:
         assert by_kind["stats"]["stats"]["accepted"] == 1
         assert "served 1 requests" in captured.err
 
+    def test_stdio_answers_bad_weights_with_bad_request(self, monkeypatch, capsys):
+        import io
+
+        tree = '{"parents":[-1,0,0],"f":[0,NaN,9],"n":[10,20,12]}'
+        lines = "".join(
+            f'{{"id":"{name}","tree":{tree},"algorithm":"{name}"}}\n'
+            for name in ("postorder", "liu", "auto", "minmem")
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(docs) == 4
+        for doc in docs:
+            assert doc["status"] == "bad_request", doc
+            assert "non-finite" in doc["error"]["message"]
+
 
 class TestTrafficBenchCommand:
     def test_list_traffic_scenarios(self, capsys):
@@ -168,10 +206,6 @@ class TestTrafficBenchCommand:
     def test_unmatched_filter_fails(self, capsys):
         assert main(["bench", "--traffic", "--filter", "zzz"]) == 2
         assert "no traffic scenario" in capsys.readouterr().err
-
-    def test_fresh_pool_rejected_for_traffic(self, capsys):
-        assert main(["bench", "--traffic", "--smoke", "--pool", "fresh"]) == 2
-        assert "no 'fresh' pool" in capsys.readouterr().err
 
     def test_smoke_traffic_run_and_artifact(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_traffic.json"

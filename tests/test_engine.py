@@ -47,7 +47,7 @@ def _engine_teardown():
 
 
 class TestEquivalence:
-    """serial vs fresh pool vs persistent engine: bit-identical reports."""
+    """serial vs threads vs persistent engine: bit-identical reports."""
 
     @pytest.mark.parametrize("algorithm", list_solvers())
     def test_every_algorithm_matches_serial(self, algorithm):
@@ -61,9 +61,9 @@ class TestEquivalence:
         trees = _sample_trees()
         algorithms = ("postorder", "liu", "minmem")
         serial = solve_many(trees, algorithms, workers=2, pool="serial")
-        fresh = solve_many(trees, algorithms, workers=2, pool="fresh")
+        threads = solve_many(trees, algorithms, workers=2, pool="threads")
         persistent = solve_many(trees, algorithms, workers=2, pool="persistent")
-        assert serial == fresh == persistent
+        assert serial == threads == persistent
 
     def test_shared_arena_vs_blob_transport(self):
         trees = _sample_trees()
@@ -233,27 +233,18 @@ class TestArenaTransport:
 
 
 class TestFallbacks:
-    def test_fresh_pool_warns_on_unpicklable_options(self):
+    def test_engine_warns_on_unpicklable_options(self):
         trees = _sample_trees()[:2]
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             batches = solve_many(
                 trees,
                 "minmem",
                 workers=2,
-                pool="fresh",
+                pool="persistent",
                 probe=_UNPICKLABLE,  # -> PicklingError in the pool
             )
         # the serial fallback still produced correct reports (the unknown
         # option is dropped by lenient dispatch)
-        serial = solve_many(trees, "minmem", workers=None)
-        assert batches == serial
-
-    def test_engine_warns_on_unpicklable_options(self):
-        trees = _sample_trees()[:2]
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            batches = solve_many(
-                trees, "minmem", workers=2, pool="persistent", probe=_UNPICKLABLE
-            )
         assert batches == solve_many(trees, "minmem", workers=None)
 
     def test_unavailable_platform_warns_once_per_engine(self, monkeypatch):

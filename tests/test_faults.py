@@ -261,8 +261,8 @@ class TestFaultyBackend:
     def test_mirrors_inner_identity(self):
         backend = FaultyBackend(create_backend("threads"), FaultPlan())
         inner = backend.inner
-        assert (backend.name, backend.releases_gil, backend.service) == (
-            inner.name, inner.releases_gil, inner.service
+        assert (backend.name, backend.releases_gil, backend.supports_futures) == (
+            inner.name, inner.releases_gil, inner.supports_futures
         )
         backend.shutdown()
 
@@ -376,23 +376,6 @@ class TestEngineDegradation:
             assert engine.snapshot()["retries"] == 1
         finally:
             engine.shutdown()
-
-    def test_dask_unavailable_raises_typed_error_eagerly(self):
-        try:
-            import distributed  # noqa: F401
-
-            pytest.skip("dask.distributed is installed")
-        except ImportError:
-            pass
-        from repro.solvers import BackendUnavailableError, solve_many
-        from repro.core.builders import star_tree
-
-        # a missing optional dependency is a configuration mistake, not a
-        # runtime degradation: it raises the typed error instead of the
-        # warn-once serial fallback reserved for platform unavailability
-        with pytest.raises(BackendUnavailableError, match="distributed"):
-            solve_many([chain_tree(5), star_tree(6)], "minmem",
-                       workers=2, pool="dask")
 
 
 # ----------------------------------------------------------------------

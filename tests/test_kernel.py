@@ -4,10 +4,10 @@ Three layers of coverage:
 
 * representation: ``TreeKernel`` construction, caching on :class:`Tree`,
   round-trips, and the bulk :meth:`Tree.from_parents` builder;
-* equivalence: every registered solver run with ``engine="kernel"`` and
-  ``engine="reference"`` on random and adversarial trees must agree on peak
-  memory, I/O volume and the traversal itself, and both engines' schedules
-  must validate under both replay engines;
+* equivalence: every registered solver and its per-node oracle
+  (``_oracles``) on random and adversarial trees must agree on peak
+  memory, I/O volume and the traversal itself, and both schedules must
+  validate under both the kernel replay and the oracle replay;
 * scale regression: a 100k-node chain and a ~100k-node iterated harpoon
   solve with every registered algorithm under the default interpreter
   recursion limit (the hot paths are explicit-stack iterative).
@@ -22,10 +22,11 @@ import sys
 
 import pytest
 
+import _oracles
 from _helpers import make_random_tree
-from repro.bench.replay import ReplayError, replay_report
+from _oracles.explore import ExploreSolver
+from repro.bench.replay import replay_report
 from repro.core.builders import chain_tree, star_tree
-from repro.core.explore import ExploreSolver
 from repro.core.kernel import KernelExploreSolver, TreeKernel
 from repro.core.liu import liu_optimal_traversal
 from repro.core.minmem import min_mem
@@ -156,23 +157,23 @@ class TestFromParents:
 
 
 # ----------------------------------------------------------------------
-# kernel vs reference equivalence
+# kernel vs per-node oracle equivalence
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
     @pytest.mark.parametrize("algorithm", sorted(set(list_solvers())))
     def test_identical_reports_and_valid_replays(self, algorithm):
         for tree in sample_trees():
-            kernel = solve(tree, algorithm, engine="kernel")
-            reference = solve(tree, algorithm, engine="reference")
+            kernel = solve(tree, algorithm)
+            reference = _oracles.solve(tree, algorithm)
             assert kernel.peak_memory == pytest.approx(reference.peak_memory)
             assert kernel.io_volume == pytest.approx(reference.io_volume)
             assert kernel.traversal.order == reference.traversal.order
             assert kernel.traversal.convention == reference.traversal.convention
             if kernel.schedule is not None:
                 assert kernel.schedule.evictions == reference.schedule.evictions
-            # both engines' outputs validate under both replay engines
-            replay_report(tree, kernel, engine="reference")
-            replay_report(tree, reference, engine="kernel")
+            # both outputs validate under both replays
+            _oracles.replay_report(tree, kernel)
+            replay_report(tree, reference)
 
     def test_solver_entry_points_accept_kernels(self):
         tree = random_attachment_tree(60, seed=5)
@@ -188,12 +189,12 @@ class TestEngineEquivalence:
     def test_result_shapes_match_reference(self):
         tree = random_attachment_tree(60, seed=6)
         for rule in ("liu", "natural", "subtree_memory"):
-            kernel = postorder_with_rule(tree, rule=rule, engine="kernel")
-            reference = postorder_with_rule(tree, rule=rule, engine="reference")
+            kernel = postorder_with_rule(tree, rule=rule)
+            reference = _oracles.postorder_with_rule(tree, rule=rule)
             assert kernel.subtree_peak == pytest.approx(reference.subtree_peak)
             assert kernel.child_order == reference.child_order
-        kernel = liu_optimal_traversal(tree, engine="kernel")
-        reference = liu_optimal_traversal(tree, engine="reference")
+        kernel = liu_optimal_traversal(tree)
+        reference = _oracles.liu_optimal_traversal(tree)
         assert kernel.subtree_peak == pytest.approx(reference.subtree_peak)
         assert len(kernel.segments) == len(reference.segments)
         for seg_k, seg_r in zip(kernel.segments, reference.segments):
@@ -218,17 +219,33 @@ class TestEngineEquivalence:
                 assert [kern.ids[j] for j in cut] == list(ref.cut)
 
     def test_unknown_engine_rejected(self):
+        # one implementation per algorithm: no entry point takes engine=
+        from repro.bench import get_scenario, run_scenarios
+        from repro.bench.replay import replay_schedule, replay_traversal
+        from repro.core import best_postorder, liu_min_memory, min_memory
+        from repro.core.minio import run_out_of_core
+
         tree = chain_tree(3)
-        with pytest.raises(ValueError):
-            liu_optimal_traversal(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            min_mem(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            postorder_with_rule(tree, engine="bogus")
-        with pytest.raises(ValueError):
-            solve(tree, "minio", engine="bogus")
-        with pytest.raises(ReplayError):
-            replay_report(tree, solve(tree, "liu"), engine="bogus")
+        liu = solve(tree, "liu")
+        minio = solve(tree, "minio")
+        calls = [
+            lambda: best_postorder(tree, engine="kernel"),
+            lambda: postorder_with_rule(tree, engine="kernel"),
+            lambda: liu_min_memory(tree, engine="kernel"),
+            lambda: liu_optimal_traversal(tree, engine="kernel"),
+            lambda: min_memory(tree, engine="kernel"),
+            lambda: min_mem(tree, engine="kernel"),
+            lambda: run_out_of_core(
+                tree, tree.max_mem_req(), liu.traversal, engine="kernel"
+            ),
+            lambda: replay_traversal(tree, liu.traversal, engine="kernel"),
+            lambda: replay_schedule(tree, minio.schedule, engine="kernel"),
+            lambda: replay_report(tree, liu, engine="kernel"),
+            lambda: run_scenarios([get_scenario("harpoon")], engine="kernel"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="engine"):
+                call()
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TestProtocol:
         interner = TreeInterner()
         request = parse_request(
             {"tree": PARENTS, "algorithm": "MinMem", "memory": 12,
-             "options": {"engine": "kernel"}},
+             "options": {"reuse_states": True}},
             interner,
         )
         assert request.algorithm == "minmem"  # canonical registry name
@@ -106,6 +106,11 @@ class TestProtocol:
         ({"tree": PARENTS, "options": [1]}, "object"),
         ({"tree": PARENTS, "options": {"pool": "persistent"}}, "reserved"),
         ({"tree": PARENTS, "report": "verbose"}, "report"),
+        # bad weights fail the kernel's weight check at intern, in both the
+        # topological and the unordered parent-array form
+        ({"tree": {"parents": [-1, 0, 0], "f": [0, float("nan"), 9]}}, "non-finite"),
+        ({"tree": {"parents": [-1, 0, 0], "f": [0, -5, 9]}}, "negative file size"),
+        ({"tree": {"parents": [2, 2, -1], "f": [-5, 9, 0]}}, "negative file size"),
     ])
     def test_parse_request_rejects_malformed(self, doc, match):
         with pytest.raises(BadRequestError, match=match):

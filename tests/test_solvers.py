@@ -9,6 +9,7 @@ from _helpers import make_random_tree
 from repro import (
     Comparison,
     SolveReport,
+    Tree,
     UnknownSolverError,
     compare,
     get_solver,
@@ -101,6 +102,20 @@ class TestRegistry:
         with pytest.raises(TypeError, match="unexpected option"):
             solve(tree, "postorder", rulee="natural")
 
+    @pytest.mark.parametrize("algorithm", list_solvers())
+    def test_bad_weights_rejected_by_every_solver(self, algorithm):
+        # the kernel checks the weights once, for every solver
+        for f in ([0.0, float("nan"), 9.0], [0.0, -5.0, 9.0]):
+            bad = Tree.from_parents([-1, 0, 0], f=f, n=[10.0, 20.0, 12.0])
+            with pytest.raises(ValueError):
+                solve(bad, algorithm)
+
+    @pytest.mark.parametrize("algorithm", list_solvers())
+    def test_engine_option_is_gone(self, tree, algorithm):
+        # one implementation per algorithm: engine= is an unknown option
+        with pytest.raises(TypeError, match="engine"):
+            solve(tree, algorithm, engine="kernel")
+
     def test_facade_memory_dropped_for_in_core_solvers(self, tree):
         # `memory` is a facade-level parameter: harmless for solvers that
         # take no budget (documented), never a TypeError
@@ -133,7 +148,7 @@ class TestSolveReports:
         assert natural.algorithm == "postorder_natural"
         assert via_opt.peak_memory == natural.peak_memory
         assert via_opt.traversal == natural.traversal
-        assert via_opt.extras == natural.extras == {"rule": "natural", "engine": "kernel"}
+        assert via_opt.extras == natural.extras == {"rule": "natural"}
 
     def test_cross_solver_agreement_on_random_trees(self):
         rng = random.Random(1107)
@@ -240,7 +255,7 @@ class TestSolveMany:
             solve_many([tree], "minmem", workers=2, pool="thread")
 
     def test_pool_accepts_known_modes(self, tree):
-        for mode in ("persistent", "fresh", "serial"):
+        for mode in ("persistent", "serial", "threads"):
             (reports,) = solve_many([tree], "minmem", pool=mode)
             assert reports["minmem"] == solve(tree, "minmem")
 
