@@ -411,22 +411,25 @@ async def _drive_open_loop(
     still in flight does not delay the next arrival.  Under overload the
     service therefore sees the full offered rate and must shed load via
     admission control -- exactly the behaviour closed-loop generators mask.
+    Each latency runs from the request's scheduled arrival, not from when
+    the event loop got round to sending it, so a stall in the generator
+    or the transport counts against every request it delayed.
     """
     outcome = CellOutcome()
     tasks = []
     start = perf_counter()
 
-    async def fire(doc: Dict[str, Any]) -> None:
-        t0 = perf_counter()
+    async def fire(doc: Dict[str, Any], due: float) -> None:
         response = await transport.send(doc)
-        _account(outcome, response, perf_counter() - t0)
+        _account(outcome, response, perf_counter() - due)
 
     for doc, at in zip(docs, times):
-        delay = (start + at) - perf_counter()
+        due = start + at
+        delay = due - perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
         outcome.sent += 1
-        tasks.append(asyncio.ensure_future(fire(doc)))
+        tasks.append(asyncio.ensure_future(fire(doc, due)))
     if tasks:
         await asyncio.gather(*tasks)
     outcome.duration_seconds = perf_counter() - start

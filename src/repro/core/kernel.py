@@ -22,9 +22,11 @@ array-based versions of every hot path:
 * :func:`kernel_liu` -- Liu's exact hill--valley algorithm with the segment
   merge running on plain float tuples;
 * :class:`KernelExploreSolver` / :func:`kernel_min_mem` -- the paper's
-  Explore/MinMem pair with incrementally-maintained cut sums (recomputing
-  ``sum(f)`` over the cut per candidate would be quadratic in the cut
-  size);
+  Explore/MinMem pair as one loop over an explicit stack of ints and
+  floats, entered at the root, whose partial traversals are linked lists
+  over node indices.  A solve makes at least one ``Explore`` call per
+  node; a generator per call and a list or tuple kept per node made
+  garbage collection half of MinMem's time on a 100k-node chain;
 * :func:`kernel_replay_traversal` / :func:`kernel_replay_schedule` -- the
   replay engine's peak-memory/IO recomputation on index arrays;
 * :func:`kernel_out_of_core` -- the MinIO eviction simulator with an
@@ -74,9 +76,9 @@ __all__ = [
 def flatten_chunks(nested) -> List[int]:
     """Flatten nested tuple chunks of node indices (explicit stack).
 
-    The Explore/MinMem and Liu kernels accumulate traversals as nested
-    tuples whose nesting depth can reach the tree depth; this flattener is
-    iterative so deep chains cannot overflow the interpreter stack.
+    The Liu kernel accumulates traversals as nested tuples whose nesting
+    depth can reach the tree depth; this flattener is iterative so deep
+    chains cannot overflow the interpreter stack.
     """
     out: List[int] = []
     stack: List = [nested]
@@ -955,27 +957,47 @@ def kernel_liu_patch(
 # ----------------------------------------------------------------------
 # Explore / MinMem: the paper's Algorithms 3 and 4 on index arrays
 # ----------------------------------------------------------------------
-class KernelExploreSolver:
-    """Stateful driver for repeated ``Explore`` calls (paper Algorithm 3).
+#: the saved cut of every fully explored node (shared, never mutated)
+_DONE: tuple = ()
 
-    ``Explore`` descends top-down from a node whose input file is resident:
-    a node of the current *cut* (the frontier of resident input files) is
-    expanded whenever the available memory allows, and the expansion
-    replaces the node's file by its own best cut whenever that shrinks the
-    resident size.  Every node keeps its reached state, so a later call
-    with more memory resumes where the previous one stopped -- the
-    ``L_init`` / ``Tr_init`` mechanism of the paper, generalised to every
-    node.  Nodes are kernel indices, per-node state lives in flat lists, and
-    the resident size of the current cut is maintained incrementally.
+
+class KernelExploreSolver:
+    """Stateful solver for repeated ``Explore`` calls from the root (Algorithm 3).
+
+    ``Explore`` descends top-down from the root: a node of the current *cut*
+    (the frontier of resident input files) is expanded whenever the
+    available memory allows, and the expansion replaces the node's file by
+    its own best cut whenever that shrinks the resident size.  Every node
+    keeps its reached state, so a later call with more memory resumes where
+    the previous one stopped -- the ``L_init`` / ``Tr_init`` mechanism of
+    the paper, generalised to every node.
+
+    A solve makes at least one nested ``Explore`` call per node, so the
+    solver keeps nothing per call or per node that the garbage collector
+    would have to walk:
+
+    * the recursion is one loop over an explicit stack of parallel int and
+      float lists -- no generator or frame object per call;
+    * the partial traversal of node ``v`` is a singly linked list over node
+      indices: it starts at ``v``, follows ``_next`` and ends at
+      ``_tail[v]``.  Executing ``v`` sets ``_tail[v] = v``; merging child
+      ``j`` appends ``j``'s list to ``v``'s in O(1), without copying;
+    * a node's cut list belongs to its saved state and is updated in place;
+      a fully explored node saves the shared empty :data:`_DONE`.
+
+    A merged child's list is shared by reference, so re-exploring that
+    child would rewrite its ancestor's traversal.  The solver is therefore
+    entered only at the root: a node is explored again only after every
+    ancestor that merged it has restarted and dropped that traversal.
 
     Parameters
     ----------
     kern : TreeKernel
         The flat tree.
     reuse_states : bool
-        Keep every node's reached exploration state across sweeps (the fast
-        mode); ``False`` retains only the entry node's state, exactly as in
-        the paper's pseudocode.
+        Keep every node's reached exploration state across calls (the fast
+        mode); ``False`` retains only the root's state, exactly as in the
+        paper's pseudocode.
     """
 
     def __init__(self, kern: TreeKernel, *, reuse_states: bool = True) -> None:
@@ -983,119 +1005,182 @@ class KernelExploreSolver:
         self.reuse_states = reuse_states
         self._peak_of = list(kern.mem_req)
         p = kern.size
-        self._state_cut: List[Optional[List[int]]] = [None] * p
-        self._state_chunks: List[Optional[list]] = [None] * p
+        self._state_cut: List[Optional[Sequence[int]]] = [None] * p
         self._state_required = [0.0] * p
+        self._next = [0] * p
+        self._tail = [0] * p
         self.explore_calls = 0
-        self.nodes_visited = 0
 
     def peak_of(self, i: int) -> float:
         """Current estimate of the memory needed to progress below ``i``."""
         return self._peak_of[i]
 
-    def explore(self, node: int, m_avail: float):
-        """Run ``Explore`` from index ``node`` with ``m_avail`` memory.
+    def explore(self, m_avail: float):
+        """Run ``Explore`` from the root with ``m_avail`` memory.
 
         Returns
         -------
-        (resident, cut, chunks, peak, required)
-            ``M_i``, the frontier (list of indices), the nested traversal
-            chunks, ``M_peak_i``, and the peak memory actually used by the
-            returned partial traversal.
+        (resident, cut, order, peak, required)
+            ``M_root``, the frontier (tuple of indices), the partial
+            traversal (list of indices, top-down), ``M_peak_root``, and the
+            peak memory actually used by that traversal.
         """
-        if not self.reuse_states:
-            kept = self._state_cut[node]
-            kept_chunks = self._state_chunks[node]
-            kept_required = self._state_required[node]
-            p = self.kern.size
-            self._state_cut = [None] * p
-            self._state_chunks = [None] * p
-            self._state_required = [0.0] * p
-            self._state_cut[node] = kept
-            self._state_chunks[node] = kept_chunks
-            self._state_required[node] = kept_required
-            self._peak_of = list(self.kern.mem_req)
-        stack = [self._explore_gen(node, m_avail)]
-        result = None
-        while stack:
-            gen = stack[-1]
-            try:
-                request = gen.send(result)
-            except StopIteration as stop:
-                result = stop.value
-                stack.pop()
-                continue
-            child, child_avail = request
-            stack.append(self._explore_gen(child, child_avail))
-            result = None
-        assert result is not None
-        return result
+        resident, peak, required = self._sweep(m_avail)
+        if resident == math.inf:
+            return resident, (), [], peak, required
+        return resident, tuple(self._state_cut[0]), self._order(), peak, required
 
-    def _explore_gen(self, node: int, m_avail: float):
-        # Algorithm 3 as a generator yielding (child, avail) requests; the
-        # driving trampoline in explore() keeps the stack explicit, so deep
-        # chains never touch the interpreter recursion limit.
+    def _order(self) -> List[int]:
+        # walk the root's linked traversal
+        nxt = self._next
+        last = self._tail[0]
+        v = 0
+        order = [0]
+        while v != last:
+            v = nxt[v]
+            order.append(v)
+        return order
+
+    def _sweep(self, m_avail: float) -> Tuple[float, float, float]:
+        # one root Explore call: (resident, peak, required), resident = inf
+        # when the root itself cannot be executed
         kern = self.kern
         f = kern.f
+        mem_req = kern.mem_req
+        child_ptr = kern.child_ptr
+        child_idx = kern.child_idx
+        if not self.reuse_states:
+            # only the root's reached state (Algorithm 4's L_init / Tr_init)
+            # survives between calls, and the peak estimates start afresh
+            kept_cut = self._state_cut[0]
+            kept_required = self._state_required[0]
+            p = kern.size
+            self._state_cut = [None] * p
+            self._state_required = [0.0] * p
+            self._state_cut[0] = kept_cut
+            self._state_required[0] = kept_required
+            self._peak_of = list(mem_req)
         peak_of = self._peak_of
+        state_cut = self._state_cut
+        state_required = self._state_required
+        nxt = self._next
+        tail = self._tail
+        inf = math.inf
+
         self.explore_calls += 1
-        mem_req = kern.mem_req[node]
-
-        state_cut = self._state_cut[node]
-        required = self._state_required[node]
-        resumable = state_cut is not None and required <= m_avail + _EPS
-
-        if resumable:
-            cut = list(state_cut)
-            chunks = list(self._state_chunks[node])
-        else:
-            if mem_req > m_avail + _EPS:
-                # the node itself cannot be executed (paper lines 3-5)
-                return (math.inf, (), (), mem_req, 0.0)
-            # execute the node itself (paper lines 10-11)
-            cut = kern.children(node)
-            chunks = [node]
-            required = mem_req
-            self.nodes_visited += 1
-
+        node = 0
+        avail = m_avail
+        cut = state_cut[0]
+        required = state_required[0]
+        if cut is None or required > avail + _EPS:
+            if mem_req[0] > avail + _EPS:
+                # the root itself cannot be executed (paper lines 3-5)
+                return inf, mem_req[0], 0.0
+            # execute the root (paper lines 10-11)
+            cut = child_idx[child_ptr[0] : child_ptr[1]]
+            state_cut[0] = cut
+            tail[0] = 0
+            required = mem_req[0]
         total = 0.0
         for j in cut:
             total += f[j]
-        while cut:
-            headroom = m_avail - total
-            candidates = [j for j in cut if headroom + f[j] >= peak_of[j] - _EPS]
-            if not candidates:
-                break
-            for j in candidates:
-                rest = total - f[j]
-                sub = yield (j, m_avail - rest)
-                sub_resident, sub_cut, sub_chunks, sub_peak, sub_required = sub
-                peak_of[j] = sub_peak
-                if sub_resident <= f[j] + _EPS:
-                    # merge the child's cut in place of the child (16-18)
-                    idx = cut.index(j)
-                    cut[idx : idx + 1] = sub_cut
-                    chunks.append(sub_chunks)
-                    total += sub_resident - f[j]
-                    req = rest + sub_required
-                    if req > required:
-                        required = req
-            # `total` tracks the resident size of the (possibly spliced) cut;
-            # recompute the headroom on the next pass over the new frontier
-
-        resident = total
-        if cut:
-            peak = math.inf
+        headroom = avail - total
+        pos = 0
+        found = False
+        # suspended frames: (node, pos) and (avail, headroom, total, required)
+        ints: List[int] = []
+        floats: List[float] = []
+        calls = 0
+        while True:
+            # scan the cut of `node` for this pass's next candidate; a pass
+            # tests every node against the headroom it started with
+            n_cut = len(cut)
+            while pos < n_cut:
+                j = cut[pos]
+                fj = f[j]
+                if headroom + fj < peak_of[j] - _EPS:
+                    pos += 1
+                    continue
+                found = True
+                child_avail = avail - (total - fj)
+                calls += 1
+                jcut = state_cut[j]
+                jrequired = state_required[j]
+                if jcut is None or jrequired > child_avail + _EPS:
+                    if mem_req[j] > child_avail + _EPS:
+                        # j itself cannot be executed (lines 3-5)
+                        peak_of[j] = mem_req[j]
+                        pos += 1
+                        continue
+                    jcut = child_idx[child_ptr[j] : child_ptr[j + 1]]
+                    state_cut[j] = jcut
+                    tail[j] = j
+                    jrequired = mem_req[j]
+                # descend into j (the recursive call of line 15)
+                ints.append(node)
+                ints.append(pos)
+                floats.append(avail)
+                floats.append(headroom)
+                floats.append(total)
+                floats.append(required)
+                node = j
+                avail = child_avail
+                cut = jcut
+                required = jrequired
+                total = 0.0
+                for k in cut:
+                    total += f[k]
+                headroom = avail - total
+                pos = 0
+                found = False
+                n_cut = len(cut)
+            if found and cut:
+                # the cut changed: start a new pass with the new headroom
+                headroom = avail - total
+                pos = 0
+                found = False
+                continue
+            # `node` is finished: M_i, M_peak_i, and its saved state
+            resident = total
+            peak = inf
             for j in cut:
                 cand = peak_of[j] + (resident - f[j])
                 if cand < peak:
                     peak = cand
-        else:
-            peak = math.inf
-        self._state_cut[node] = list(cut)
-        self._state_chunks[node] = list(chunks)
-        self._state_required[node] = required
-        return (resident, tuple(cut), tuple(chunks), peak, required)
+            if not cut:
+                state_cut[node] = _DONE
+            state_required[node] = required
+            if not ints:
+                break
+            # return into the suspended caller
+            j = node
+            sub_required = required
+            required = floats.pop()
+            total = floats.pop()
+            headroom = floats.pop()
+            avail = floats.pop()
+            pos = ints.pop()
+            node = ints.pop()
+            cut = state_cut[node]
+            found = True
+            peak_of[j] = peak
+            fj = f[j]
+            if resident <= fj + _EPS:
+                # merge the child's cut in place of the child (16-18)
+                sub_cut = state_cut[j]
+                cut[pos : pos + 1] = sub_cut
+                pos += len(sub_cut)
+                rest = total - fj
+                total += resident - fj
+                req = rest + sub_required
+                if req > required:
+                    required = req
+                nxt[tail[node]] = j
+                tail[node] = tail[j]
+            else:
+                pos += 1
+        self.explore_calls += calls
+        return resident, peak, required
 
 
 def kernel_min_mem(
@@ -1113,17 +1198,16 @@ def kernel_min_mem(
     m_peak = max(kern.mem_req)
     m_avail = 0.0
     iterations = 0
-    chunks: tuple = ()
     while m_peak != math.inf:
         m_avail = m_peak
-        _, _, chunks, m_peak, _ = solver.explore(0, m_avail)
+        _, m_peak, _ = solver._sweep(m_avail)
         iterations += 1
-        if m_peak is not math.inf and m_peak <= m_avail:
+        if m_peak != math.inf and m_peak <= m_avail:
             raise RuntimeError(
                 "MinMem made no progress (floating-point stall); "
                 f"memory={m_avail}, reported peak={m_peak}"
             )
-    return m_avail, flatten_chunks(chunks), iterations, solver.explore_calls
+    return m_avail, solver._order(), iterations, solver.explore_calls
 
 
 # ----------------------------------------------------------------------

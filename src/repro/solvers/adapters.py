@@ -27,7 +27,6 @@ from typing import Optional
 from ..core.kernel import (
     KernelExploreSolver,
     TreeKernel,
-    flatten_chunks,
     kernel_liu,
     kernel_postorder,
     kernel_replay_traversal,
@@ -167,8 +166,8 @@ def _solve_explore(
     if memory is None:
         memory = kern.max_mem_req()
     solver = KernelExploreSolver(kern, reuse_states=reuse_states)
-    resident, cut, chunks, peak, required = solver.explore(0, memory)
-    order = kern.order_to_ids(flatten_chunks(chunks))
+    resident, cut, order_idx, peak, required = solver.explore(memory)
+    order = kern.order_to_ids(order_idx)
     return SolveReport(
         algorithm="explore",
         peak_memory=required,
@@ -176,7 +175,8 @@ def _solve_explore(
         extras={
             "memory_limit": memory,
             "completed": len(order) == kern.size,
-            "resident": resident,
+            # "inf" when the root cannot run: strict JSON has no Infinity
+            "resident": "inf" if math.isinf(resident) else resident,
             "cut": [kern.ids[j] for j in cut],
             # memory unlocking the next node; "inf" when fully processed
             "next_peak": "inf" if math.isinf(peak) else peak,

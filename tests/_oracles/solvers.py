@@ -102,7 +102,7 @@ def _explore(tree: Tree, memory: Optional[float], reuse_states: bool) -> SolveRe
         extras={
             "memory_limit": memory,
             "completed": len(order) == tree.size,
-            "resident": result.resident,
+            "resident": "inf" if math.isinf(result.resident) else result.resident,
             "cut": list(result.cut),
             "next_peak": "inf" if math.isinf(result.peak) else result.peak,
         },

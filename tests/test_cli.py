@@ -197,6 +197,34 @@ class TestServeCommand:
             assert "non-finite" in doc["error"]["message"]
 
 
+    def test_stdio_responses_are_strict_json(self, monkeypatch, capsys):
+        import io
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token} on the wire")
+
+        tree = {"parents": [-1, 0, 0], "f": [0, 16, 9], "n": [10, 20, 12]}
+        requests = [
+            # below the root's MemReq (30): nothing runs, resident is infinite
+            {"id": "starved", "tree": tree, "algorithm": "explore", "memory": 5},
+            # enough for everything: the next peak is infinite
+            {"id": "full", "tree": tree, "algorithm": "explore", "memory": 100},
+            {"id": "minmem", "tree": tree, "algorithm": "minmem"},
+            {"op": "stats"},
+        ]
+        lines = "".join(json.dumps(doc) + "\n" for doc in requests)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        docs = [json.loads(line, parse_constant=reject) for line in out]
+        assert len(docs) == len(requests)
+        by_id = {d.get("id", "stats"): d for d in docs}
+        starved = by_id["starved"]["report"]["extras"]
+        assert starved["resident"] == "inf"
+        assert starved["completed"] is False
+        assert by_id["full"]["report"]["extras"]["next_peak"] == "inf"
+
+
 class TestTrafficBenchCommand:
     def test_list_traffic_scenarios(self, capsys):
         assert main(["bench", "--traffic", "--list"]) == 0

@@ -7,7 +7,12 @@ floating point and equality can be exact).  On each of the 1,748 trees:
 
 * every registered solver's report equals the report its per-node oracle
   (``_oracles.solve``) builds, with ``explore`` and the MinIO family run at
-  one budget halfway between ``max MemReq`` and the optimum;
+  one budget halfway between ``max MemReq`` and the optimum, and ``minmem``
+  run a second time with ``reuse_states=False``;
+* one :class:`KernelExploreSolver` driven through the budgets floor, mid,
+  floor, optimum returns what the per-node ``ExploreSolver`` driven the
+  same way returns at every step: the third call cannot resume the root's
+  state and restarts it, the fourth resumes what the restart reached;
 * the paper's exactness results hold: the Liu peak equals the MinMem peak
   equals the exhaustive optimum of :func:`optimal_min_memory`, and the best
   postorder peak equals the exhaustive :func:`optimal_postorder_memory`.
@@ -22,7 +27,10 @@ from typing import List, Tuple
 import pytest
 
 import _oracles
+from _oracles.explore import ExploreSolver
 from repro.core.bruteforce import optimal_min_memory, optimal_postorder_memory
+from repro.core.kernel import KernelExploreSolver
+from repro.core.liu import flatten_nodes
 from repro.core.tree import Tree
 from repro.solvers import solve, solver_table
 
@@ -69,6 +77,50 @@ def test_every_solver_matches_its_oracle(small_trees):
             kernel = solve(tree, algorithm, memory=budget)
             oracle = _oracles.solve(tree, algorithm, memory=budget)
             assert kernel == oracle, f"{algorithm} on {label}"
+
+
+def test_minmem_without_state_reuse_matches_its_oracle(small_trees):
+    for label, tree in small_trees:
+        kernel = solve(tree, "minmem", reuse_states=False)
+        oracle = _oracles.solve(tree, "minmem", reuse_states=False)
+        assert kernel == oracle, label
+
+
+def test_explore_resumes_and_restarts_like_its_oracle(small_trees):
+    restarts = 0
+    for label, tree in small_trees:
+        floor = tree.max_mem_req()
+        optimum = solve(tree, "minmem").peak_memory
+        kern = tree.kernel()
+        kernel = KernelExploreSolver(kern)
+        oracle = ExploreSolver(tree)
+        required_before = 0.0
+        for step, memory in enumerate((floor, (floor + optimum) / 2.0, floor, optimum)):
+            resident, cut, order, peak, required = kernel.explore(memory)
+            expected = oracle.explore(tree.root, memory)
+            got = (
+                resident,
+                tuple(kern.ids[j] for j in cut),
+                tuple(kern.ids[j] for j in order),
+                peak,
+                required,
+                kernel.explore_calls,
+            )
+            want = (
+                expected.resident,
+                expected.cut,
+                tuple(flatten_nodes(expected.traversal_chunks)),
+                expected.peak,
+                expected.required,
+                oracle.explore_calls,
+            )
+            assert got == want, f"step {step} (memory {memory}) on {label}"
+            if step == 2 and required_before > memory:
+                restarts += 1
+            required_before = required
+    # 198 of the trees have optimum > floor; on 9 of them the mid-budget
+    # traversal needs more than the floor, so the third call restarts the root
+    assert restarts == 9
 
 
 def test_exact_solvers_match_bruteforce(small_trees):

@@ -10,11 +10,15 @@ Three layers of coverage:
   validate under both the kernel replay and the oracle replay;
 * scale regression: a 100k-node chain and a ~100k-node iterated harpoon
   solve with every registered algorithm under the default interpreter
-  recursion limit (the hot paths are explicit-stack iterative).
+  recursion limit (the hot paths are explicit-stack iterative);
+* Explore's state handling: budget sequences that restart and resume
+  states agree with the oracle, and a finished solver keeps no object per
+  node alive.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import pickle
 import random
@@ -28,7 +32,7 @@ from _oracles.explore import ExploreSolver
 from repro.bench.replay import replay_report
 from repro.core.builders import chain_tree, star_tree
 from repro.core.kernel import KernelExploreSolver, TreeKernel
-from repro.core.liu import liu_optimal_traversal
+from repro.core.liu import flatten_nodes, liu_optimal_traversal
 from repro.core.minmem import min_mem
 from repro.core.postorder import postorder_with_rule
 from repro.core.tree import Tree, TreeValidationError
@@ -212,7 +216,7 @@ class TestEngineEquivalence:
                 ref = ExploreSolver(tree).explore(tree.root, memory)
                 kern = tree.kernel()
                 solver = KernelExploreSolver(kern)
-                resident, cut, _, peak, required = solver.explore(0, memory)
+                resident, cut, _, peak, required = solver.explore(memory)
                 assert resident == pytest.approx(ref.resident)
                 assert peak == pytest.approx(ref.peak)
                 assert required == pytest.approx(ref.required)
@@ -304,6 +308,76 @@ class TestHundredThousandNodes:
         postorder = postorder_with_rule(big_harpoon).memory
         assert optimum == pytest.approx(optimal_memory_bound(2, 14, 1.0, 0.01))
         assert postorder == pytest.approx(postorder_memory_bound(2, 14, 1.0, 0.01))
+
+
+# ----------------------------------------------------------------------
+# Explore: resumed and restarted states, nothing kept per node
+# ----------------------------------------------------------------------
+def _objects_held_by_finished_solver(tree) -> int:
+    """Growth of the GC-tracked object count while a finished solver lives."""
+    kern = tree.kernel()
+    gc.collect()
+    before = len(gc.get_objects())
+    solver = KernelExploreSolver(kern)
+    memory = kern.max_mem_req()
+    peak = 0.0
+    while peak != math.inf:
+        peak = solver.explore(memory)[3]
+        memory = peak
+    gc.collect()
+    held = len(gc.get_objects()) - before
+    assert solver.explore_calls >= kern.size  # the solver is still alive here
+    return held
+
+
+class TestExploreSolver:
+    def test_finished_chain_holds_no_object_per_node(self):
+        # one Explore sweep runs the whole chain; every node ends finished
+        assert _objects_held_by_finished_solver(chain_tree(20_000, f=2.0, n=1.0)) < 100
+
+    def test_finished_harpoon_holds_under_one_object_per_two_nodes(self):
+        # what stays is the cut list of each node left partly explored
+        tree = iterated_harpoon_tree(3, levels=7, memory=1.0, epsilon=0.01)
+        assert _objects_held_by_finished_solver(tree) < tree.size / 2
+
+    @pytest.mark.parametrize("reuse_states", [True, False])
+    def test_budget_sequences_match_the_oracle(self, reuse_states):
+        # random budget sequences on one solver: a lower budget restarts
+        # states a higher one reached, a higher one resumes them
+        rng = random.Random(2011)
+        root_restarts = 0
+        for trial in range(40):
+            tree = make_random_tree(60, rng, window=4 if trial % 2 else None)
+            floor = tree.max_mem_req()
+            gap = int(min_mem(tree).memory - floor)
+            kern = tree.kernel()
+            kernel = KernelExploreSolver(kern, reuse_states=reuse_states)
+            oracle = ExploreSolver(tree, reuse_states=reuse_states)
+            required = 0.0
+            for _ in range(10):
+                memory = floor + rng.randint(0, gap)
+                root_restarts += required > memory
+                resident, cut, order, peak, required = kernel.explore(memory)
+                ref = oracle.explore(tree.root, memory)
+                assert (resident, peak, required) == (
+                    ref.resident, ref.peak, ref.required
+                )
+                assert [kern.ids[j] for j in cut] == list(ref.cut)
+                assert kern.order_to_ids(order) == tuple(
+                    flatten_nodes(ref.traversal_chunks)
+                )
+                assert kernel.explore_calls == oracle.explore_calls
+        assert root_restarts > 0
+
+    def test_starved_root_returns_nothing(self):
+        tree = chain_tree(5, f=2.0, n=1.0)
+        solver = KernelExploreSolver(tree.kernel())
+        assert solver.explore(1.0) == (math.inf, (), [], 5.0, 0.0)
+        resident, cut, order, peak, required = solver.explore(5.0)
+        assert (resident, cut, order, peak) == (0.0, (), [0, 1, 2, 3, 4], math.inf)
+        # a later starved call leaves the reached state alone
+        assert solver.explore(1.0)[2] == []
+        assert solver.explore(5.0)[2] == [0, 1, 2, 3, 4]
 
 
 class TestFlatArrays:

@@ -1,5 +1,6 @@
 """Tests for the open-loop traffic benchmarks (repro.bench.traffic)."""
 
+import asyncio
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from repro.bench import (
     write_artifact,
 )
 from repro.bench.runner import run_scenarios
-from repro.bench.traffic import arrival_schedule, build_request_docs
+from repro.bench.traffic import _drive_open_loop, arrival_schedule, build_request_docs
 from repro.core.kernel import TreeKernel
 from repro.core.traversal import BOTTOMUP, Traversal
 from repro.solvers import SolveReport, register_solver
@@ -183,6 +184,29 @@ class TestRunner:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="transport"):
             run_traffic_scenarios([_tiny_scenario()], transport="smoke-signals")
+
+
+class TestOpenLoopTiming:
+    def test_latency_runs_from_the_scheduled_arrival(self):
+        # the first send blocks the event loop for 50 ms while four more
+        # requests fall due: their wait is latency, not hidden by starting
+        # their clocks only once the loop gets round to sending them
+        class StallingTransport:
+            sends = 0
+
+            async def send(self, doc):
+                self.sends += 1
+                if self.sends == 1:
+                    time.sleep(0.05)
+                return {"id": doc["id"], "status": "ok"}
+
+        docs = [{"id": f"r{i}"} for i in range(5)]
+        times = [0.0, 0.001, 0.002, 0.003, 0.004]
+        outcome = asyncio.run(_drive_open_loop(StallingTransport(), docs, times))
+        assert outcome.completed == 5
+        assert len(outcome.latencies) == 5
+        assert outcome.latencies[0] >= 0.045
+        assert min(outcome.latencies[1:]) >= 0.045, outcome.latencies
 
 
 class TestPoolValidationRegression:
