@@ -43,6 +43,7 @@ from ..sparse.matrices import (
     grid_laplacian_3d,
     random_spd,
 )
+from ..sparse.ordering import ORDERINGS
 
 __all__ = ["TreeInstance", "matrix_suite", "assembly_tree_dataset", "random_tree_dataset", "SCALES"]
 
@@ -145,8 +146,9 @@ def assembly_tree_dataset(
             _orderings_for(matrix_name, matrix, scale) if orderings is None else orderings
         )
         for ordering in matrix_orderings:
+            perm = ORDERINGS[ordering](matrix)
             for budget in relaxed_values:
-                result = build_assembly_tree(matrix, ordering=ordering, relaxed=budget)
+                result = build_assembly_tree(matrix, ordering=perm, relaxed=budget)
                 name = f"{matrix_name}/{ordering}/r{budget}"
                 instances.append(
                     TreeInstance(

@@ -5,12 +5,15 @@ of the input matrix, ``|A| + |A|ᵀ + I`` (the paper, Section VI-B).  This
 module provides that symmetrization plus the small amount of graph machinery
 the orderings need: adjacency lists, connectivity, BFS level structures and
 pseudo-peripheral vertices.
+
+The traversals run on plain-int adjacency lists and are restricted to a
+vertex subset by :class:`VertexMarks`, so nested dissection searches its
+thousands of subgraphs without building an ``n``-long mask for each search.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +21,7 @@ import scipy.sparse as sp
 __all__ = [
     "symmetrized_pattern",
     "adjacency_lists",
+    "VertexMarks",
     "connected_components",
     "bfs_levels",
     "pseudo_peripheral_vertex",
@@ -48,92 +52,145 @@ def symmetrized_pattern(matrix: sp.spmatrix) -> sp.csr_matrix:
     return sp.csr_matrix(sym)
 
 
-def adjacency_lists(pattern: sp.spmatrix) -> List[np.ndarray]:
-    """Adjacency lists (excluding self loops) of a symmetric pattern."""
+def adjacency_lists(pattern: sp.spmatrix) -> List[List[int]]:
+    """Adjacency lists (excluding self loops) of a symmetric pattern.
+
+    Each list holds plain ints in CSR order: the traversals index them in
+    their inner loops, where a numpy scalar costs several Python ints.
+    """
     csr = sp.csr_matrix(pattern)
     n = csr.shape[0]
-    out: List[np.ndarray] = []
     indptr, indices = csr.indptr, csr.indices
-    for v in range(n):
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        out.append(nbrs[nbrs != v].copy())
-    return out
+    keep = indices != np.repeat(np.arange(n), np.diff(indptr))
+    ptr = np.concatenate(([0], np.cumsum(keep)))[indptr].tolist()
+    flat = indices[keep].tolist()
+    return [flat[ptr[v] : ptr[v + 1]] for v in range(n)]
 
-def connected_components(adjacency: Sequence[np.ndarray]) -> List[List[int]]:
-    """Connected components of an adjacency-list graph (BFS)."""
-    n = len(adjacency)
-    seen = np.zeros(n, dtype=bool)
+
+class VertexMarks:
+    """The vertex subset a traversal may enter, as stamped per-vertex marks.
+
+    The subset is the vertices whose mark equals :attr:`stamp`.  A traversal
+    enters only those and re-marks every vertex it reaches with the next
+    stamp, which becomes current: a traversal of a connected subset leaves
+    the subset unchanged, so all searches of one subgraph share a single
+    :meth:`select`.  Stamps only grow, so a mark left by an earlier subset
+    never matches, and neither a selection nor a traversal touches an
+    ``n``-long array.
+    """
+
+    __slots__ = ("mark", "stamp")
+
+    def __init__(self, n: int) -> None:
+        self.mark = [0] * n
+        self.stamp = 0
+
+    def select(self, vertices: Iterable[int]) -> None:
+        """Make ``vertices`` the current subset."""
+        self.stamp += 1
+        stamp, mark = self.stamp, self.mark
+        for v in vertices:
+            mark[v] = stamp
+
+
+def connected_components(
+    adjacency: Sequence[Sequence[int]],
+    vertices: Optional[Sequence[int]] = None,
+    marks: Optional[VertexMarks] = None,
+) -> List[List[int]]:
+    """Connected components of the subgraph induced by ``vertices``.
+
+    All vertices by default.  Components come in the order of their first
+    vertex in ``vertices``, each in depth-first discovery order (a stack,
+    neighbours in adjacency order).  ``marks`` must have ``vertices``
+    selected; a fresh selection is made when it is omitted.
+    """
+    if vertices is None:
+        vertices = range(len(adjacency))
+    if marks is None:
+        marks = VertexMarks(len(adjacency))
+        marks.select(vertices)
+    mark, inside = marks.mark, marks.stamp
+    marks.stamp = seen = inside + 1
     components: List[List[int]] = []
-    for start in range(n):
-        if seen[start]:
+    for start in vertices:
+        if mark[start] != inside:
             continue
+        mark[start] = seen
         comp = [start]
-        seen[start] = True
-        queue: deque = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(int(w))
-                    queue.append(int(w))
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if mark[w] == inside:
+                    mark[w] = seen
+                    comp.append(w)
+                    stack.append(w)
         components.append(comp)
     return components
 
 
 def bfs_levels(
-    adjacency: Sequence[np.ndarray], start: int, allowed: Optional[np.ndarray] = None
+    adjacency: Sequence[Sequence[int]],
+    start: int,
+    allowed: Optional[np.ndarray] = None,
 ) -> List[List[int]]:
     """BFS level structure rooted at ``start``.
 
     ``allowed`` is an optional boolean mask restricting the traversal to a
-    vertex subset (used by nested dissection on sub-graphs).
+    vertex subset.  Each level lists its vertices in discovery order: the
+    previous level's order, each vertex's neighbours in adjacency order.
     """
     n = len(adjacency)
-    if allowed is None:
-        allowed = np.ones(n, dtype=bool)
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    levels: List[List[int]] = [[start]]
+    marks = VertexMarks(n)
+    marks.select(range(n) if allowed is None else np.flatnonzero(allowed).tolist())
+    return _levels(adjacency, start, marks)
+
+
+def _levels(
+    adjacency: Sequence[Sequence[int]], start: int, marks: VertexMarks
+) -> List[List[int]]:
+    """BFS levels from ``start`` over the current subset of ``marks``."""
+    mark, inside = marks.mark, marks.stamp
+    marks.stamp = seen = inside + 1
+    mark[start] = seen
     frontier = [start]
-    while frontier:
+    levels = [frontier]
+    while True:
         nxt: List[int] = []
         for v in frontier:
             for w in adjacency[v]:
-                if allowed[w] and not seen[w]:
-                    seen[w] = True
-                    nxt.append(int(w))
-        if nxt:
-            levels.append(nxt)
+                if mark[w] == inside:
+                    mark[w] = seen
+                    nxt.append(w)
+        if not nxt:
+            return levels
+        levels.append(nxt)
         frontier = nxt
-    return levels
 
 
 def pseudo_peripheral_vertex(
-    adjacency: Sequence[np.ndarray],
+    adjacency: Sequence[Sequence[int]],
     vertices: Sequence[int],
-    allowed: Optional[np.ndarray] = None,
+    marks: Optional[VertexMarks] = None,
 ) -> Tuple[int, List[List[int]]]:
     """A pseudo-peripheral vertex of the (sub)graph and its level structure.
 
-    Implements the George--Liu heuristic: start from an arbitrary vertex,
-    repeatedly move to a vertex of the last BFS level until the eccentricity
-    stops growing.  Used both by RCM and by the nested-dissection separator.
+    Implements the George--Liu heuristic: start from ``vertices[0]`` and
+    move to the first vertex of least degree (in the whole graph) of the
+    last BFS level until the eccentricity stops growing.  Used by the
+    nested-dissection separator.  ``marks`` must have ``vertices`` selected;
+    a fresh selection is made when it is omitted.
     """
-    vertices = list(vertices)
-    if not vertices:
+    if len(vertices) == 0:
         raise ValueError("empty vertex set")
-    if allowed is None:
-        allowed = np.zeros(len(adjacency), dtype=bool)
-        allowed[np.asarray(vertices, dtype=int)] = True
+    if marks is None:
+        marks = VertexMarks(len(adjacency))
+        marks.select(vertices)
     current = vertices[0]
-    levels = bfs_levels(adjacency, current, allowed)
+    levels = _levels(adjacency, current, marks)
     while True:
-        last_level = levels[-1]
-        candidate = min(last_level, key=lambda v: len(adjacency[v]))
-        new_levels = bfs_levels(adjacency, candidate, allowed)
-        if len(new_levels) > len(levels):
-            current, levels = candidate, new_levels
-        else:
+        candidate = min(levels[-1], key=lambda v: len(adjacency[v]))
+        new_levels = _levels(adjacency, candidate, marks)
+        if len(new_levels) <= len(levels):
             return current, levels
-    return current, levels
+        current, levels = candidate, new_levels

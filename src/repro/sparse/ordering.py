@@ -21,14 +21,14 @@ the ``k``-th pivot.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence, Set
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import (
+    VertexMarks,
     adjacency_lists,
-    bfs_levels,
     connected_components,
     pseudo_peripheral_vertex,
     symmetrized_pattern,
@@ -62,40 +62,43 @@ def rcm_ordering(matrix: sp.spmatrix) -> np.ndarray:
 def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
     """Greedy minimum-degree ordering with an explicit elimination graph.
 
-    At every step the vertex of smallest current degree is eliminated and its
-    neighbourhood is turned into a clique.  A lazy priority queue keeps the
-    complexity acceptable for the matrix sizes used in the experiments
-    (up to a few thousand rows); this is an exact-degree variant of AMD.
+    At every step the live vertex of least (current degree, index) is
+    eliminated and its neighbourhood is turned into a clique; this is an
+    exact-degree variant of AMD.  The priority queue holds, for every live
+    vertex, an entry at its current degree, pushed when that degree last
+    changed; any other entry is stale and is dropped when popped.
+
+    >>> from repro.sparse.matrices import grid_laplacian_2d
+    >>> minimum_degree_ordering(grid_laplacian_2d(3)).tolist()
+    [0, 2, 6, 8, 1, 3, 4, 5, 7]
     """
     pattern = symmetrized_pattern(matrix)
-    n = pattern.shape[0]
-    neighbours: List[set] = [set(map(int, row)) for row in adjacency_lists(pattern)]
-    eliminated = np.zeros(n, dtype=bool)
-    heap = [(len(neighbours[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    order: List[int] = []
+    neighbours = [set(row) for row in adjacency_lists(pattern)]
+    return np.asarray(_minimum_degree(neighbours), dtype=np.int64)
 
+
+def _minimum_degree(neighbours: List[Set[int]]) -> List[int]:
+    """Elimination order of the graph ``neighbours`` (updated in place)."""
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(neighbours)]
+    heapq.heapify(heap)
+    eliminated = [False] * len(neighbours)
+    order: List[int] = []
     while heap:
         degree, v = heapq.heappop(heap)
-        if eliminated[v]:
-            continue
-        if degree != len(neighbours[v]):
-            heapq.heappush(heap, (len(neighbours[v]), v))
+        clique = neighbours[v]
+        if eliminated[v] or degree != len(clique):
             continue
         eliminated[v] = True
         order.append(v)
-        nbrs = [w for w in neighbours[v] if not eliminated[w]]
-        # connect the neighbourhood into a clique
-        for i, w in enumerate(nbrs):
-            neighbours[w].discard(v)
-            for u in nbrs[i + 1 :]:
-                if u not in neighbours[w]:
-                    neighbours[w].add(u)
-                    neighbours[u].add(w)
-        for w in nbrs:
-            heapq.heappush(heap, (len(neighbours[w]), w))
-        neighbours[v] = set()
-    return np.asarray(order, dtype=np.int64)
+        for w in clique:
+            nbrs = neighbours[w]
+            before = len(nbrs)
+            nbrs.discard(v)
+            nbrs |= clique
+            nbrs.discard(w)
+            if len(nbrs) != before:
+                heapq.heappush(heap, (len(nbrs), w))
+    return order
 
 
 def nested_dissection_ordering(
@@ -109,21 +112,27 @@ def nested_dissection_ordering(
     ordered recursively, then the separator vertices are numbered last, which
     yields the characteristic bushy assembly trees of graph-partitioning
     orderings.
+
+    >>> from repro.sparse.matrices import grid_laplacian_2d
+    >>> nested_dissection_ordering(grid_laplacian_2d(4), leaf_size=4).tolist()
+    [14, 13, 7, 11, 4, 8, 2, 1, 0, 5, 10, 15, 3, 6, 9, 12]
     """
     pattern = symmetrized_pattern(matrix)
     n = pattern.shape[0]
     adjacency = adjacency_lists(pattern)
+    marks = VertexMarks(n)
     order: List[int] = []
 
     def order_small(vertices: List[int]) -> List[int]:
-        if len(vertices) <= 1:
-            return list(vertices)
-        sub = _subgraph(pattern, vertices)
-        local = minimum_degree_ordering(sub)
-        return [vertices[i] for i in local]
+        local = {v: i for i, v in enumerate(vertices)}
+        neighbours = [
+            {local[w] for w in adjacency[v] if w in local} for v in vertices
+        ]
+        return [vertices[i] for i in _minimum_degree(neighbours)]
 
-    # explicit stack of (vertices, phase); results appended postorder so that
-    # separators come after their two halves
+    # explicit stack of vertex sets; the separators are numbered after every
+    # leaf, in the reverse of the order they were found, so each one follows
+    # both of its halves
     stack: List[List[int]] = [list(range(n))]
     pending: List[List[int]] = []
     while stack:
@@ -131,26 +140,19 @@ def nested_dissection_ordering(
         if len(vertices) <= leaf_size:
             order.extend(order_small(vertices))
             continue
-        allowed = np.zeros(n, dtype=bool)
-        allowed[np.asarray(vertices, dtype=int)] = True
-        components = _restricted_components(adjacency, vertices, allowed)
+        marks.select(vertices)
+        components = connected_components(adjacency, vertices, marks)
         if len(components) > 1:
             stack.extend(components)
             continue
-        _, levels = pseudo_peripheral_vertex(adjacency, vertices, allowed)
+        _, levels = pseudo_peripheral_vertex(adjacency, vertices, marks)
         if len(levels) < 3:
             order.extend(order_small(vertices))
             continue
         mid = len(levels) // 2
-        separator = list(levels[mid])
-        half_a = [v for lev in levels[:mid] for v in lev]
-        half_b = [v for lev in levels[mid + 1 :] for v in lev]
-        if not half_a or not half_b:
-            order.extend(order_small(vertices))
-            continue
-        pending.append(separator)
-        stack.append(half_a)
-        stack.append(half_b)
+        pending.append(levels[mid])
+        stack.append([v for lev in levels[:mid] for v in lev])
+        stack.append([v for lev in levels[mid + 1 :] for v in lev])
     for separator in reversed(pending):
         order.extend(order_small(separator))
     return np.asarray(order, dtype=np.int64)
@@ -178,32 +180,3 @@ def permutation_matrix(perm: Sequence[int]) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.ones(n), (np.arange(n), perm)), shape=(n, n)
     )
-
-
-def _subgraph(pattern: sp.csr_matrix, vertices: List[int]) -> sp.csr_matrix:
-    idx = np.asarray(vertices, dtype=np.int64)
-    return sp.csr_matrix(pattern[idx][:, idx])
-
-
-def _restricted_components(
-    adjacency: Sequence[np.ndarray], vertices: List[int], allowed: np.ndarray
-) -> List[List[int]]:
-    """Connected components of the subgraph induced by ``vertices``."""
-    seen: Dict[int, bool] = {v: False for v in vertices}
-    components: List[List[int]] = []
-    for start in vertices:
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adjacency[v]:
-                w = int(w)
-                if allowed[w] and not seen.get(w, True):
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(comp)
-    return components

@@ -2,14 +2,20 @@
 
 The original loops behind :mod:`repro.sparse`: Liu's elimination-tree
 construction one nonzero at a time, row-subtree climbs for the column
-counts, Python-set merges for the column patterns and a union-find for the
-perfect-amalgamation chains.  The library runs the vectorized versions; the
-tests require bit-identical results.
+counts, Python-set merges for the column patterns, a union-find for the
+perfect-amalgamation chains, and the fill-reducing orderings over
+numpy-scalar adjacency (minimum degree re-pushing stale heap entries,
+nested dissection ordering every leaf and separator through a scipy
+subgraph).  The library runs the vectorized and plain-int versions; the
+tests require bit-identical results.  The two reference orderings share
+nothing with the code under test but
+:func:`~repro.sparse.graph.symmetrized_pattern`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,11 +24,17 @@ from repro.sparse.amalgamation import AmalgamatedTree, _supernodes
 from repro.sparse.assembly import AssemblyTreeResult, assembly_tree_from_etree
 from repro.sparse.etree import etree_children, etree_postorder
 from repro.sparse.graph import symmetrized_pattern
-from repro.sparse.ordering import ORDERINGS, apply_ordering
+from repro.sparse.ordering import apply_ordering, natural_ordering, rcm_ordering
 from repro.sparse.symbolic import SymbolicStats
 from repro.sparse.symbolic import symbolic_stats as _stats_from_counts
 
 __all__ = [
+    "adjacency_lists",
+    "bfs_levels",
+    "pseudo_peripheral_vertex",
+    "minimum_degree_ordering",
+    "nested_dissection_ordering",
+    "ORDERINGS",
     "elimination_tree",
     "column_counts",
     "column_patterns",
@@ -30,6 +42,209 @@ __all__ = [
     "amalgamate",
     "build_assembly_tree",
 ]
+
+
+def adjacency_lists(pattern: sp.spmatrix) -> List[np.ndarray]:
+    """Adjacency lists (excluding self loops) of a symmetric pattern."""
+    csr = sp.csr_matrix(pattern)
+    n = csr.shape[0]
+    out: List[np.ndarray] = []
+    indptr, indices = csr.indptr, csr.indices
+    for v in range(n):
+        nbrs = indices[indptr[v] : indptr[v + 1]]
+        out.append(nbrs[nbrs != v].copy())
+    return out
+
+
+def bfs_levels(
+    adjacency: Sequence[np.ndarray], start: int, allowed: Optional[np.ndarray] = None
+) -> List[List[int]]:
+    """BFS level structure rooted at ``start``.
+
+    ``allowed`` is an optional boolean mask restricting the traversal to a
+    vertex subset (used by nested dissection on sub-graphs).
+    """
+    n = len(adjacency)
+    if allowed is None:
+        allowed = np.ones(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
+    seen[start] = True
+    levels: List[List[int]] = [[start]]
+    frontier = [start]
+    while frontier:
+        nxt: List[int] = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if allowed[w] and not seen[w]:
+                    seen[w] = True
+                    nxt.append(int(w))
+        if nxt:
+            levels.append(nxt)
+        frontier = nxt
+    return levels
+
+
+def pseudo_peripheral_vertex(
+    adjacency: Sequence[np.ndarray],
+    vertices: Sequence[int],
+    allowed: Optional[np.ndarray] = None,
+) -> Tuple[int, List[List[int]]]:
+    """A pseudo-peripheral vertex of the (sub)graph and its level structure.
+
+    Implements the George--Liu heuristic: start from an arbitrary vertex,
+    repeatedly move to a vertex of the last BFS level until the eccentricity
+    stops growing.  Used both by RCM and by the nested-dissection separator.
+    """
+    vertices = list(vertices)
+    if not vertices:
+        raise ValueError("empty vertex set")
+    if allowed is None:
+        allowed = np.zeros(len(adjacency), dtype=bool)
+        allowed[np.asarray(vertices, dtype=int)] = True
+    current = vertices[0]
+    levels = bfs_levels(adjacency, current, allowed)
+    while True:
+        last_level = levels[-1]
+        candidate = min(last_level, key=lambda v: len(adjacency[v]))
+        new_levels = bfs_levels(adjacency, candidate, allowed)
+        if len(new_levels) > len(levels):
+            current, levels = candidate, new_levels
+        else:
+            return current, levels
+
+
+def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
+    """Greedy minimum-degree ordering with an explicit elimination graph.
+
+    At every step the vertex of smallest current degree is eliminated and its
+    neighbourhood is turned into a clique.  A lazy priority queue keeps the
+    complexity acceptable for the matrix sizes used in the experiments
+    (up to a few thousand rows); this is an exact-degree variant of AMD.
+    """
+    pattern = symmetrized_pattern(matrix)
+    n = pattern.shape[0]
+    neighbours: List[set] = [set(map(int, row)) for row in adjacency_lists(pattern)]
+    eliminated = np.zeros(n, dtype=bool)
+    heap = [(len(neighbours[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    order: List[int] = []
+
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if eliminated[v]:
+            continue
+        if degree != len(neighbours[v]):
+            heapq.heappush(heap, (len(neighbours[v]), v))
+            continue
+        eliminated[v] = True
+        order.append(v)
+        nbrs = [w for w in neighbours[v] if not eliminated[w]]
+        # connect the neighbourhood into a clique
+        for i, w in enumerate(nbrs):
+            neighbours[w].discard(v)
+            for u in nbrs[i + 1 :]:
+                if u not in neighbours[w]:
+                    neighbours[w].add(u)
+                    neighbours[u].add(w)
+        for w in nbrs:
+            heapq.heappush(heap, (len(neighbours[w]), w))
+        neighbours[v] = set()
+    return np.asarray(order, dtype=np.int64)
+
+
+def nested_dissection_ordering(
+    matrix: sp.spmatrix, *, leaf_size: int = 32
+) -> np.ndarray:
+    """Recursive nested dissection with BFS level-structure separators.
+
+    Subgraphs of at most ``leaf_size`` vertices are ordered with minimum
+    degree.  The separator of a larger subgraph is the median BFS level of a
+    level structure rooted at a pseudo-peripheral vertex: the two halves are
+    ordered recursively, then the separator vertices are numbered last, which
+    yields the characteristic bushy assembly trees of graph-partitioning
+    orderings.
+    """
+    pattern = symmetrized_pattern(matrix)
+    n = pattern.shape[0]
+    adjacency = adjacency_lists(pattern)
+    order: List[int] = []
+
+    def order_small(vertices: List[int]) -> List[int]:
+        if len(vertices) <= 1:
+            return list(vertices)
+        sub = _subgraph(pattern, vertices)
+        local = minimum_degree_ordering(sub)
+        return [vertices[i] for i in local]
+
+    # explicit stack of (vertices, phase); results appended postorder so that
+    # separators come after their two halves
+    stack: List[List[int]] = [list(range(n))]
+    pending: List[List[int]] = []
+    while stack:
+        vertices = stack.pop()
+        if len(vertices) <= leaf_size:
+            order.extend(order_small(vertices))
+            continue
+        allowed = np.zeros(n, dtype=bool)
+        allowed[np.asarray(vertices, dtype=int)] = True
+        components = _restricted_components(adjacency, vertices, allowed)
+        if len(components) > 1:
+            stack.extend(components)
+            continue
+        _, levels = pseudo_peripheral_vertex(adjacency, vertices, allowed)
+        if len(levels) < 3:
+            order.extend(order_small(vertices))
+            continue
+        mid = len(levels) // 2
+        separator = list(levels[mid])
+        half_a = [v for lev in levels[:mid] for v in lev]
+        half_b = [v for lev in levels[mid + 1 :] for v in lev]
+        if not half_a or not half_b:
+            order.extend(order_small(vertices))
+            continue
+        pending.append(separator)
+        stack.append(half_a)
+        stack.append(half_b)
+    for separator in reversed(pending):
+        order.extend(order_small(separator))
+    return np.asarray(order, dtype=np.int64)
+
+
+def _subgraph(pattern: sp.csr_matrix, vertices: List[int]) -> sp.csr_matrix:
+    idx = np.asarray(vertices, dtype=np.int64)
+    return sp.csr_matrix(pattern[idx][:, idx])
+
+
+def _restricted_components(
+    adjacency: Sequence[np.ndarray], vertices: List[int], allowed: np.ndarray
+) -> List[List[int]]:
+    """Connected components of the subgraph induced by ``vertices``."""
+    seen: Dict[int, bool] = {v: False for v in vertices}
+    components: List[List[int]] = []
+    for start in vertices:
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for w in adjacency[v]:
+                w = int(w)
+                if allowed[w] and not seen.get(w, True):
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        components.append(comp)
+    return components
+
+
+ORDERINGS = {
+    "natural": natural_ordering,
+    "rcm": rcm_ordering,
+    "minimum_degree": minimum_degree_ordering,
+    "nested_dissection": nested_dissection_ordering,
+}
 
 
 def elimination_tree(matrix: sp.spmatrix, *, symmetrize: bool = True) -> np.ndarray:

@@ -8,6 +8,7 @@ from repro.analysis.datasets import (
     matrix_suite,
     random_tree_dataset,
 )
+from repro.sparse.assembly import build_assembly_tree
 from repro.sparse.matrices import grid_laplacian_2d
 
 
@@ -50,14 +51,25 @@ class TestAssemblyDataset:
         assert len(names) == len(set(names))
 
     def test_custom_matrices_and_orderings(self):
+        matrix = grid_laplacian_2d(6)
+        orderings = ("natural", "minimum_degree", "nested_dissection")
         instances = assembly_tree_dataset(
             "tiny",
-            matrices=[("g", grid_laplacian_2d(6))],
-            orderings=("natural",),
+            matrices=[("g", matrix)],
+            orderings=orderings,
             relaxed=(1, 4),
         )
-        assert len(instances) == 2
+        assert len(instances) == 2 * len(orderings)
         assert {inst.metadata["relaxed"] for inst in instances} == {1, 4}
+        # one ordering per (matrix, ordering) builds the trees a per-budget
+        # build from the ordering's name builds
+        for inst in instances:
+            fresh = build_assembly_tree(
+                matrix,
+                ordering=inst.metadata["ordering"],
+                relaxed=inst.metadata["relaxed"],
+            )
+            assert inst.tree == fresh.tree
 
     def test_unknown_scale(self):
         with pytest.raises(ValueError):

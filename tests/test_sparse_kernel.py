@@ -193,9 +193,10 @@ class TestTaskTreeKernelCache:
 class TestPipelineEngines:
     def test_build_assembly_tree_engines_identical(self):
         matrix = grid_laplacian_2d(12)
-        for ordering in ("natural", "rcm"):
+        for ordering in ("natural", "rcm", "minimum_degree", "nested_dissection"):
             res_k = build_assembly_tree(matrix, ordering=ordering, relaxed=2)
             res_r = oracle.build_assembly_tree(matrix, ordering=ordering, relaxed=2)
+            assert np.array_equal(res_k.permutation, res_r.permutation)
             assert res_k.tree == res_r.tree
             assert np.array_equal(res_k.etree_parent, res_r.etree_parent)
             assert np.array_equal(res_k.counts, res_r.counts)

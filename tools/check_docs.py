@@ -31,6 +31,7 @@ DOCTEST_MODULES = (
     "repro.core.tree",
     "repro.core.kernel",
     "repro.solvers.facade",
+    "repro.sparse.ordering",
 )
 
 #: standalone files whose docstrings carry executable examples
