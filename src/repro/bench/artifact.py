@@ -46,9 +46,10 @@ machines.  The document layout (schema version 1):
 
 :func:`compare_artifacts` diffs two documents record by record (matching on
 ``key``) and flags deterministic regressions (peak memory or I/O volume
-increased, replay broke) as well as timing regressions beyond a relative
-threshold; the CLI's ``repro bench --compare A B`` exits non-zero when any
-regression is found.
+increased, replay broke); the CLI's ``repro bench --compare A B`` exits
+non-zero when any regression is found.  Timings are recorded but never
+judged here: a timing claim needs repeated, paired runs, which is what
+``benchmarks/perf/perf_compare.py`` does.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ __all__ = [
 ]
 
 BENCH_SCHEMA_VERSION = 1
-
-#: timing regressions below this relative slowdown are noise, not findings
-DEFAULT_TIME_THRESHOLD = 0.25
 
 #: deterministic metrics (peak, I/O) tolerate only float noise
 _METRIC_RTOL = 1e-9
@@ -181,7 +179,7 @@ class RecordDelta:
     """One flagged difference between two artifacts."""
 
     key: str
-    metric: str  # "peak_memory" | "io_volume" | "best_time" | "replay"
+    metric: str  # "peak_memory" | "io_volume" | "replay"
     before: float
     after: float
 
@@ -249,19 +247,14 @@ def _metric(record: Dict[str, Any], name: str) -> float:
         ) from None
 
 
-def compare_artifacts(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    *,
-    time_threshold: float = DEFAULT_TIME_THRESHOLD,
-) -> ArtifactComparison:
+def compare_artifacts(old: Dict[str, Any], new: Dict[str, Any]) -> ArtifactComparison:
     """Diff two loaded artifacts and classify every changed record.
 
     Deterministic metrics (``peak_memory``, ``io_volume``) regress on *any*
-    increase beyond float noise and improve on any decrease; ``best_time``
-    regresses only beyond ``time_threshold`` relative slowdown (timing is
-    machine-noisy).  A record whose replay validation flipped from ok to
-    failing is always a regression.
+    increase beyond float noise and improve on any decrease.  A record whose
+    replay validation flipped from ok to failing is always a regression.
+    Timings (``best_time``, ``mean_time``) are not compared: one run per
+    side cannot separate a slowdown from machine noise.
 
     The two runs must share the same ``seed``: record keys would still match
     across seeds, but the seeded scenario builders would have produced
@@ -298,12 +291,6 @@ def compare_artifacts(
                 regressions.append(RecordDelta(key, metric, before, after))
             elif after < before * (1.0 - _METRIC_RTOL) - 1e-12:
                 improvements.append(RecordDelta(key, metric, before, after))
-        before = _metric(old_record, "best_time")
-        after = _metric(new_record, "best_time")
-        if before > 0 and after > before * (1.0 + time_threshold):
-            regressions.append(RecordDelta(key, "best_time", before, after))
-        elif before > 0 and after < before * (1.0 - time_threshold):
-            improvements.append(RecordDelta(key, "best_time", before, after))
     missing = tuple(sorted(set(old_index) - set(new_index)))
     added = tuple(sorted(set(new_index) - set(old_index)))
     return ArtifactComparison(

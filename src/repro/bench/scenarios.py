@@ -72,9 +72,10 @@ MINMEMORY_ALGORITHMS = ("postorder", "liu", "minmem")
 BUDGETED_ALGORITHMS = ("explore", "minio_first_fit", "minio_lsnf")
 
 #: every registered in-core (unbudgeted) solver -- the service traffic mix.
-#: Deliberately excludes ``auto``: the portfolio routes *to* these, and the
-#: traffic request streams built from this tuple must stay byte-identical
-#: across releases (tests/test_traffic_determinism.py pins their digests)
+#: Deliberately excludes ``auto``, which is ``minmem`` under another name:
+#: the traffic request streams built from this tuple must stay
+#: byte-identical across releases (tests/test_traffic_determinism.py pins
+#: their digests)
 IN_CORE_ALGORITHMS = (
     "postorder",
     "postorder_natural",
@@ -83,8 +84,8 @@ IN_CORE_ALGORITHMS = (
     "minmem",
 )
 
-#: the portfolio entry, benchmarked on every family so each campaign
-#: artifact records auto-vs-best-single evidence (tools/fit_portfolio.py)
+#: the ``auto`` entry, benchmarked on every family so the committed
+#: campaign artifacts keep their ``auto`` records comparable
 PORTFOLIO_ALGORITHMS = ("auto",)
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "select_traffic_scenarios",
     "build_request_docs",
     "request_stream_digest",
-    "portfolio_baseline",
     "arrival_schedule",
     "run_traffic_scenarios",
     "ARRIVAL_PROCESSES",
@@ -227,45 +226,6 @@ def request_stream_digest(scenario_name: str, cell_index: int, seed: int) -> int
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(blob.encode("utf-8"))
-
-
-def portfolio_baseline(scenario: TrafficScenario, seed: int) -> Dict[str, Any]:
-    """How ``auto`` fares against the best *fixed* algorithm on a tree mix.
-
-    Solves every tree of the scenario's mix with ``auto`` and with each
-    in-core algorithm, and reports: the single fixed algorithm a operator
-    would have pinned (lowest total peak over the mix), auto's worst and
-    mean peak ratio against the per-tree best, and how often auto matches
-    it exactly.  Attached to ``service_auto`` records so the committed
-    traffic artifacts carry the portfolio's optimality evidence.
-    """
-    from ..solvers import solve
-
-    mix = _service_traffic(seed, scenario.tree_count)
-    fixed_totals = {name: 0.0 for name in IN_CORE_ALGORITHMS}
-    ratios = []
-    exact = 0
-    for _, tree in mix:
-        kern = tree.kernel()
-        peaks = {
-            name: solve(kern, name).peak_memory for name in IN_CORE_ALGORITHMS
-        }
-        for name, peak in peaks.items():
-            fixed_totals[name] += peak
-        best = min(peaks.values())
-        auto_peak = solve(kern, "auto").peak_memory
-        ratios.append(auto_peak / best if best else 1.0)
-        if auto_peak == best:
-            exact += 1
-    best_fixed = min(fixed_totals, key=lambda name: (fixed_totals[name], name))
-    return {
-        "trees": len(mix),
-        "best_fixed_algorithm": best_fixed,
-        "best_fixed_total_peak": fixed_totals[best_fixed],
-        "auto_worst_ratio": max(ratios),
-        "auto_mean_ratio": sum(ratios) / len(ratios),
-        "auto_exact_fraction": exact / len(mix),
-    }
 
 
 def arrival_schedule(cell: TrafficCell, seed: int) -> List[float]:
@@ -573,12 +533,6 @@ def run_traffic_scenarios(
     async def _run() -> List[BenchRecord]:
         records: List[BenchRecord] = []
         for scenario in scenarios:
-            # portfolio scenarios carry their optimality evidence: how the
-            # routed choice compares against pinning one fixed algorithm
-            baseline = (
-                portfolio_baseline(scenario, seed)
-                if "auto" in scenario.algorithms else None
-            )
             for cell in scenario.cells:
                 service = SolverService(
                     workers=workers,
@@ -600,8 +554,6 @@ def run_traffic_scenarios(
                     pool=service.pool_mode,
                     workers=service.workers,
                 )
-                if baseline is not None:
-                    record.extras["portfolio_baseline"] = baseline
                 records.append(record)
         return records
 
@@ -659,9 +611,8 @@ register_traffic_scenario(TrafficScenario(
 
 register_traffic_scenario(TrafficScenario(
     name="service_auto",
-    summary="every request solved with the 'auto' portfolio over a mixed "
-            "64-tree shape mix; records carry the auto-vs-best-fixed "
-            "baseline in extras['portfolio_baseline']",
+    summary="every request solved with the 'auto' solver over a mixed "
+            "64-tree shape mix",
     tree_count=64,
     cells=(
         TrafficCell(

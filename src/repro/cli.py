@@ -193,10 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip schedule-replay validation (faster, unchecked)")
     p_bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                          help="diff two BENCH artifacts instead of running; "
-                              "exits 1 on regressions")
-    p_bench.add_argument("--time-threshold", type=float, default=None, metavar="FRAC",
-                         help="relative slowdown flagged as a timing regression "
-                              "by --compare (default: 0.25)")
+                              "exits 1 on peak, I/O or replay regressions")
     p_bench.add_argument("--traffic", action="store_true",
                          help="run the open-loop traffic scenarios over the "
                               "service daemon instead of the campaign grid "
@@ -483,13 +480,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.compare is not None:
         old_path, new_path = args.compare
         try:
-            threshold = args.time_threshold
-            if threshold is None:
-                from .bench.artifact import DEFAULT_TIME_THRESHOLD as threshold
             comparison = bench.compare_artifacts(
                 bench.load_artifact(old_path),
                 bench.load_artifact(new_path),
-                time_threshold=threshold,
             )
         except (bench.ArtifactError, OSError) as exc:
             # exit 2 for unusable inputs, so callers can tell "could not

@@ -86,7 +86,6 @@ class FaultyBackend(ExecutorBackend):
         # wrapped backend exactly as it would see the real one
         self.name = inner.name
         self.summary = inner.summary
-        self.ships_arena = inner.ships_arena
         self.releases_gil = inner.releases_gil
         self.supports_futures = inner.supports_futures
 
@@ -159,9 +158,6 @@ class FaultyBackend(ExecutorBackend):
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def scatter(self, trees: Sequence[Any]) -> None:
-        self._inner.scatter(trees)
-
     def map_cells(self, cells: Sequence[Cell], workers: int) -> List[Any]:
         prepared, submit_spec = self._prepare_many(cells)
         if submit_spec is not None:

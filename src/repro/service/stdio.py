@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import sys
 from typing import Any, Awaitable, Callable, Dict, Optional
 
 from .daemon import SolverService
@@ -97,18 +99,33 @@ async def serve_stdio(
     return service.snapshot()
 
 
+def _open_stdin():
+    """A private text stream over stdin's descriptor (``sys.stdin`` if none).
+
+    Worker processes forked by a process pool close the inherited
+    ``sys.stdin`` as they start.  If the reader thread is blocked in
+    ``sys.stdin.readline()`` at fork time, the child inherits that stream's
+    lock held and waits on it forever.  A stream over a duplicate
+    descriptor leaves ``sys.stdin``'s lock free.
+    """
+    try:
+        fd = sys.stdin.fileno()
+    except OSError:  # an in-memory stand-in: nothing a fork can block on
+        return sys.stdin
+    return open(os.dup(fd), encoding=sys.stdin.encoding, errors=sys.stdin.errors)
+
+
 async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
     """Wire :func:`serve_stdio` to the real stdin/stdout of the process.
 
     Reading happens on the default thread executor so a quiet stdin never
     blocks the event loop (and the daemon keeps solving while waiting).
     """
-    import sys
-
     loop = asyncio.get_running_loop()
+    stdin = _open_stdin()
 
     def _read_blocking() -> Optional[str]:
-        line = sys.stdin.readline()
+        line = stdin.readline()
         return line if line else None
 
     async def read_line() -> Optional[str]:
@@ -121,4 +138,8 @@ async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
     async def write_line(text: str) -> None:
         await loop.run_in_executor(None, _write_blocking, text)
 
-    return await serve_stdio(service, read_line, write_line)
+    try:
+        return await serve_stdio(service, read_line, write_line)
+    finally:
+        if stdin is not sys.stdin:
+            stdin.close()

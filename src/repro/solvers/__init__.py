@@ -28,11 +28,7 @@ from .report import SolveReport, report_from_dict, report_to_dict
 # importing the adapters populates the registry with the built-in solvers;
 # it must happen before the facade is usable
 from .adapters import DEFAULT_ALGORITHM, MINMEMORY_SOLVERS  # noqa: E402
-from .portfolio import (  # noqa: E402  (registers the "auto" solver)
-    RACE_NODE_THRESHOLD,
-    ROUTING_TABLE,
-    tree_features,
-)
+from . import portfolio  # noqa: E402,F401  (registers the "auto" solver)
 from .engine import (  # noqa: E402
     EngineStoppedError,
     ExecutorBackend,
@@ -71,9 +67,6 @@ __all__ = [
     "DEFAULT_COMPARE_ALGORITHMS",
     "MINMEMORY_SOLVERS",
     "POOL_MODES",
-    "RACE_NODE_THRESHOLD",
-    "ROUTING_TABLE",
-    "tree_features",
     "EngineStoppedError",
     "ExecutorBackend",
     "SolveEngine",

@@ -4,8 +4,6 @@ An *executor backend* is the strategy object behind the solve engine: it
 owns the actual worker plumbing (a process pool, a thread pool -- or nothing
 at all) and exposes one small protocol the three call sites above it share:
 
-* ``scatter(trees)`` -- pre-ship tree kernels to the workers (arena export,
-  or a no-op for in-process backends);
 * ``map_cells(cells, workers)`` -- solve a batch of cells, blocking, in cell
   order;
 * ``submit_cell(cell, workers)`` / ``submit_chunk(cells, workers)`` -- the
@@ -16,9 +14,6 @@ at all) and exposes one small protocol the three call sites above it share:
 Capability flags describe what the layers above may assume:
 
 =================== ======================================================
-``ships_arena``     kernels are shipped to the workers out of band (shared
-                    memory), so payloads are compact tokens rather than
-                    pickled trees
 ``releases_gil``    work leaves the parent interpreter's GIL (separate
                     processes); ``False`` for the in-process backends,
                     where parallel speed-up waits on the compiled
@@ -130,22 +125,18 @@ class ExecutorBackend:
     """Base class of the executor backends (see the module docstring).
 
     Subclasses set the class-level ``name``/``summary``/capability flags and
-    implement the execution methods.  ``reset``/``stop``/``shutdown`` and
-    ``scatter`` default to no-ops so trivial backends stay trivial.
+    implement the execution methods.  ``reset``/``stop``/``shutdown``
+    default to no-ops so trivial backends stay trivial.
     """
 
     name: str = "?"
     summary: str = ""
-    ships_arena: bool = False
     releases_gil: bool = False
     supports_futures: bool = True
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def scatter(self, trees: Sequence[Any]) -> None:
-        """Pre-ship tree kernels to the workers (no-op by default)."""
-
     def map_cells(self, cells: Sequence[Cell], workers: int) -> List[Any]:
         """Solve ``cells`` in order, blocking.
 

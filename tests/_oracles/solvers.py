@@ -16,7 +16,6 @@ from typing import Any, Optional
 from repro.core.liu import flatten_nodes
 from repro.core.traversal import TOPDOWN, Traversal, peak_memory
 from repro.core.tree import Tree
-from repro.solvers.portfolio import route, tree_features
 from repro.solvers.registry import get_solver
 from repro.solvers.report import SolveReport
 
@@ -145,15 +144,6 @@ def _minio(
 
 
 def _auto(tree: Tree) -> SolveReport:
-    # the routing mode only: the race mode starts at RACE_NODE_THRESHOLD
-    # nodes, far beyond the trees the per-node oracles run on
-    features = tree_features(tree.kernel())
-    rule, chosen = route(features)
-    inner = solve(tree, chosen)
-    info = {
-        "algorithm": inner.algorithm,
-        "mode": "route",
-        "rule": rule,
-        "features": features,
-    }
+    inner = solve(tree, "minmem")
+    info = {"algorithm": "minmem", "mode": "route"}
     return replace(inner, extras={**inner.extras, "portfolio": info})

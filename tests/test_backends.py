@@ -70,18 +70,14 @@ class TestRegistry:
 
     def test_capability_flags(self):
         flags = {
-            spec.name: (
-                spec.cls.ships_arena,
-                spec.cls.releases_gil,
-                spec.cls.supports_futures,
-            )
+            spec.name: (spec.cls.releases_gil, spec.cls.supports_futures)
             for spec in backend_table()
         }
         assert flags == {
-            # (ships_arena, releases_gil, supports_futures)
-            "persistent": (True, True, True),
-            "serial": (False, False, False),
-            "threads": (False, False, True),
+            # (releases_gil, supports_futures)
+            "persistent": (True, True),
+            "serial": (False, False),
+            "threads": (False, True),
         }
 
     def test_every_spec_has_a_summary(self):
@@ -149,7 +145,7 @@ def _parity_trees():
 class TestBackendParity:
     def test_all_algorithms_bit_identical_across_backends(self):
         kerns = _parity_trees()
-        algorithms = list_solvers()  # includes the "auto" portfolio (route)
+        algorithms = list_solvers()  # includes "auto"
         # a budget equal to the in-core peak keeps every budgeted solver
         # (explore, the minio family) feasible on every tree
         budget = max(
@@ -161,20 +157,6 @@ class TestBackendParity:
                 kerns, algorithms, memory=budget, workers=3, pool=pool
             )
             assert got == expected, f"pool={pool} diverged"
-
-    def test_auto_race_path_bit_identical_across_backends(self):
-        # race_threshold=1 forces the race path without a 20k-node tree;
-        # the winner is picked on solution quality, never on wall time,
-        # so the raced report is deterministic on every backend
-        rng = random.Random(7)
-        kerns = [make_random_tree(20, rng).kernel() for _ in range(2)]
-        expected = solve_many(kerns, "auto", workers=1, race_threshold=1)
-        assert all(
-            r["auto"].extras["portfolio"]["mode"] == "race" for r in expected
-        )
-        for pool in LOCAL_POOLS:
-            got = solve_many(kerns, "auto", workers=2, pool=pool, race_threshold=1)
-            assert got == expected, f"pool={pool} diverged on the race path"
 
     @pytest.mark.parametrize("algorithm", ["postorder", "liu"])
     def test_incremental_reuse_matches_every_backend(self, algorithm):

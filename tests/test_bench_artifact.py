@@ -110,13 +110,14 @@ class TestCompare:
         assert comparison.ok
         assert [d.metric for d in comparison.improvements] == ["io_volume"]
 
-    def test_time_threshold(self, small_run):
+    def test_timing_changes_are_not_judged(self, small_run):
         old = run_to_dict(small_run)
         new = json.loads(json.dumps(old))
         for record in new["records"]:
             record["best_time"] *= 1.5
-        assert not compare_artifacts(old, new, time_threshold=0.25).ok
-        assert compare_artifacts(old, new, time_threshold=1.0).ok
+        comparison = compare_artifacts(old, new)
+        assert comparison.ok
+        assert not comparison.regressions and not comparison.improvements
 
     def test_missing_record_is_a_regression(self, small_run):
         old = run_to_dict(small_run)

@@ -180,6 +180,70 @@ class TestServeCommand:
         assert by_kind["stats"]["stats"]["accepted"] == 1
         assert "served 1 requests" in captured.err
 
+    def test_stdio_daemon_with_workers_answers_while_stdin_is_open(self):
+        # the pool forks its workers on the first request, while the reader
+        # thread is blocked on stdin; each forked worker closes the
+        # inherited sys.stdin as it starts, so the reader must not hold
+        # that stream's lock
+        import os
+        import selectors
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--stdio",
+             "--workers", "2", "--log-level", "warning"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,  # one group: the daemon and its workers
+        )
+        selector = selectors.DefaultSelector()
+        selector.register(proc.stdout, selectors.EVENT_READ)
+        pending = b""
+
+        def read_response(timeout: float = 20.0) -> dict:
+            nonlocal pending
+            deadline = time.monotonic() + timeout
+            while b"\n" not in pending:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0 and selector.select(remaining), (
+                    f"no response within {timeout} s while stdin stayed open"
+                )
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                assert chunk, "the daemon closed its stdout"
+                pending += chunk
+            line, pending = pending.split(b"\n", 1)
+            return json.loads(line)
+
+        tree = {"parents": [-1, 0, 0], "f": [0, 16, 9], "n": [10, 20, 12]}
+        try:
+            for request_id in ("w1", "w2"):
+                doc = {"id": request_id, "tree": tree, "algorithm": "minmem"}
+                proc.stdin.write(json.dumps(doc).encode() + b"\n")
+                proc.stdin.flush()
+                response = read_response()
+                assert (response["id"], response["status"]) == (request_id, "ok")
+                assert response["report"]["peak_memory"] == 37.0
+            selector.close()
+            # closing stdin (EOF) must stop the daemon and its workers
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err.decode()
+            assert b"leaked shared_memory" not in err, err.decode()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+
     def test_stdio_answers_bad_weights_with_bad_request(self, monkeypatch, capsys):
         import io
 

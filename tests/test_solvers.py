@@ -214,6 +214,28 @@ class TestSolveReports:
         assert set(comparison.algorithms) == {"postorder", "minio"}
 
 
+class TestAuto:
+    def test_auto_is_minmem_in_process_on_large_trees(self, monkeypatch):
+        import repro.solvers.facade as facade
+        from repro.generators.random_trees import random_attachment_tree, reweight_random
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("auto must not dispatch through solve_many")
+
+        monkeypatch.setattr(facade, "solve_many", no_engine)
+        big = reweight_random(random_attachment_tree(25_000, seed=4), seed=5)
+        auto, minmem = solve(big, "auto"), solve(big, "minmem")
+        assert auto.algorithm == "auto"
+        assert auto.peak_memory == minmem.peak_memory
+        assert auto.traversal == minmem.traversal
+        assert auto.io_volume == minmem.io_volume
+        assert auto.extras["portfolio"] == {"algorithm": "minmem", "mode": "route"}
+
+    def test_auto_takes_no_options(self, tree):
+        with pytest.raises(TypeError, match="unexpected option"):
+            solve(tree, "auto", race_threshold=1)
+
+
 class TestSolveMany:
     def test_parallel_matches_serial(self):
         rng = random.Random(20110527)
