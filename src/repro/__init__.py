@@ -7,10 +7,11 @@ The library is organised in seven layers:
 
 ``repro.core``
     Task-tree model, traversal checkers, the three MinMemory algorithms
-    (``PostOrder``, ``Liu``, ``MinMem``), the MinIO out-of-core scheduler with
-    its six eviction heuristics, exhaustive oracles and pebble-game special
-    cases.  Every solver runs on the flat array-backed :class:`TreeKernel`
-    of :mod:`repro.core.kernel`, one implementation per algorithm.
+    (``PostOrder``, ``Liu``, ``MinMem``) and the MinIO out-of-core scheduler
+    with its six eviction heuristics.  Every solver runs on the flat
+    array-backed :class:`TreeKernel` of :mod:`repro.core.kernel`, one
+    implementation per algorithm; the oracles it is tested against live in
+    the test suite.
 ``repro.sparse``
     The sparse-matrix substrate that produces the assembly trees the paper
     evaluates on: matrix generators, fill-reducing orderings, elimination

@@ -17,11 +17,10 @@ machines.  The document layout (schema version 1):
       },
       "run": {                         # campaign parameters
         "seed": 0, "repeat": 3, "warmup": 1, "workers": null,
-        "pool": null,                  # executor mode (null = persistent engine)
         "campaign_seconds": 12.3,      # end-to-end campaign wall time
         "scenarios": ["assembly", ...],
         "extras": {                    # run-level execution metadata
-          "backend": "persistent",     # resolved executor backend name
+          "backend": "persistent",     # executor backend that ran it
           "work_units": 12,            # futures submitted by the planner
           "straggler_resplits": 0      # work units split and resubmitted
         }
@@ -119,13 +118,12 @@ def run_to_dict(run: BenchRun, *, created_utc: Optional[str] = None) -> Dict[str
             "repeat": run.repeat,
             "warmup": run.warmup,
             "workers": run.workers,
-            "pool": run.pool,
             # end-to-end wall time of the campaign (dispatch overhead
             # included), unlike the per-solver wall_time stamps
             "campaign_seconds": run.campaign_seconds,
             "scenarios": list(run.scenarios),
-            # run-level execution metadata: the resolved backend name and
-            # the planner's work-splitting counters
+            # run-level execution metadata: the backend name and the
+            # planner's work-splitting counters
             "extras": dict(run.extras),
         },
         "records": records,

@@ -17,9 +17,9 @@ File schema (one JSON document per line):
 
   ``params`` holds every knob that shapes cell *results*; resuming with a
   different value raises (a journal from another campaign cannot be
-  silently mixed in).  Execution knobs that cannot change results
-  (``workers``, ``pool``) ride in the header as ``context`` for humans
-  but are not validated, so a campaign may resume on different plumbing.
+  silently mixed in).  The execution knob that cannot change results
+  (``workers``) rides in the header as ``context`` for humans but is not
+  validated, so a campaign may resume on different plumbing.
 
 * cell lines -- one per completed timed cell::
 

@@ -24,17 +24,18 @@ budget, round) cell across all instances at once.  Warmup cells fan out
 (and complete) before the timed cells of the same stage, so warmup keeps
 its meaning under parallel execution.
 
-The planner is backend-generic: ``pool=`` names any registered executor
-backend (:data:`~repro.solvers.facade.POOL_MODES`), and backends that hand
-out futures (``persistent``, ``threads``) get *work-splitting* --
-each grid is cut into about ``saturate_factor x workers`` contiguous work
-units submitted as one future each, so workers stay saturated without
-per-cell dispatch overhead -- plus *straggler re-splitting*: a unit still
-running after ``straggler_factor x`` the median unit round trip is split
-in half and resubmitted, and whichever copy of a cell finishes first wins
-(results are deduplicated by cell index, deterministic because every
-solver is).  The ``serial`` backend has no futures and runs each grid as
-one blocking batch.  All modes produce bit-identical reports.
+The worker count picks the executor: ``workers > 1`` runs on the
+persistent process engine, anything else in-process.  On an engine the
+planner *work-splits*: each grid is cut into about
+``saturate_factor x workers`` contiguous work units submitted as one
+future each, so workers stay saturated without per-cell dispatch
+overhead -- plus *straggler re-splitting*: a unit still running after
+``straggler_factor x`` the median unit round trip is split in half and
+resubmitted, and whichever copy of a cell finishes first wins (results
+are deduplicated by cell index, deterministic because every solver is).
+A chaos campaign (``fault_plan=``) without workers runs the same loop
+over the in-process backend, whose futures complete on submission.  Every
+mode produces bit-identical reports.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.tree import Tree
-from ..solvers.facade import POOL_MODES, _solve_task
+from ..solvers.facade import _solve_task
 from ..solvers.registry import get_solver
 from ..solvers.report import SolveReport
 from .replay import ReplayError, replay_report
@@ -97,13 +98,12 @@ class BenchRecord:
 class BenchRun:
     """Outcome of one benchmark campaign.
 
-    ``pool`` records the executor mode the campaign ran with (``None`` =
-    the default, the persistent engine) and ``campaign_seconds`` the
-    end-to-end wall time of :func:`run_scenarios` -- tree building, solver
-    rounds, replay validation and record assembly included -- which is the
-    number that exposes dispatch overhead invisible to the per-solver
-    ``wall_time`` stamps.  ``extras`` carries run-level execution metadata:
-    the resolved backend name, the number of work units submitted, and how
+    ``campaign_seconds`` is the end-to-end wall time of
+    :func:`run_scenarios` -- tree building, solver rounds, replay
+    validation and record assembly included -- which is the number that
+    exposes dispatch overhead invisible to the per-solver ``wall_time``
+    stamps.  ``extras`` carries run-level execution metadata: the backend
+    that ran the campaign, the number of work units submitted, and how
     many straggler re-splits fired.
     """
 
@@ -113,7 +113,6 @@ class BenchRun:
     warmup: int
     workers: Optional[int]
     scenarios: Tuple[str, ...]
-    pool: Optional[str] = None
     campaign_seconds: float = 0.0
     extras: Dict[str, Any] = field(default_factory=dict)
 
@@ -180,7 +179,6 @@ def run_scenarios(
     warmup: int = 0,
     workers: Optional[int] = None,
     validate: bool = True,
-    pool: Optional[str] = None,
     saturate_factor: float = 2.0,
     straggler_factor: float = 4.0,
     fault_plan: Any = None,
@@ -205,22 +203,17 @@ def run_scenarios(
     warmup:
         Untimed rounds discarded before the ``repeat`` timed ones.
     workers:
-        Worker processes for the solver batches (``None`` = serial).
+        Worker processes for the solver batches.  ``workers > 1`` runs on
+        the persistent shared-memory process engine with work-splitting
+        and straggler re-splitting; ``None``, ``0`` or ``1`` run in-process.
+        Every choice produces bit-identical reports.
     validate:
         Replay-validate every report (see :mod:`repro.bench.replay`).
         Validation failures are recorded on the :class:`BenchRecord` rather
         than raised, so one bad solver cannot sink a whole campaign.
-    pool:
-        Executor backend for the campaign, any name in
-        :data:`~repro.solvers.facade.POOL_MODES` (``None`` = the default
-        ``"persistent"`` shared-memory process engine).  Backends that hand
-        out futures (``persistent``, ``threads``) run the grids with
-        work-splitting and straggler re-splitting; ``"serial"`` runs each
-        grid as one blocking in-process batch.  All modes produce
-        bit-identical reports.
     saturate_factor:
-        Work units submitted per worker on future-capable backends
-        (roughly; units are contiguous cell runs of near-equal size).
+        Work units submitted per worker (roughly; units are contiguous
+        cell runs of near-equal size).
         More units mean finer-grained load balancing at slightly higher
         dispatch overhead.
     straggler_factor:
@@ -252,8 +245,6 @@ def run_scenarios(
         raise ValueError("repeat must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if pool not in (None, *POOL_MODES):
-        raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
     if saturate_factor <= 0:
         raise ValueError("saturate_factor must be > 0")
     if straggler_factor <= 0:
@@ -275,14 +266,13 @@ def run_scenarios(
             "scenarios": [s.name for s in scenarios],
             "validate": validate,
         }
-        context = {"workers": workers, "pool": pool}
+        context = {"workers": workers}
         if resume:
             journal = CampaignJournal.resume(resume, params, context)
         else:
             journal = CampaignJournal.fresh(checkpoint, params, context)
     dispatcher = _CampaignDispatcher(
         workers=workers,
-        pool=pool,
         saturate_factor=saturate_factor,
         straggler_factor=straggler_factor,
         fault_plan=fault_plan,
@@ -326,7 +316,6 @@ def run_scenarios(
         warmup=warmup,
         workers=workers,
         scenarios=tuple(s.name for s in scenarios),
-        pool=pool,
         campaign_seconds=perf_counter() - start,
         extras=extras,
     )
@@ -356,22 +345,18 @@ class _WorkUnit:
 
 
 class _CampaignDispatcher:
-    """Backend-generic fan-out of one campaign's cell grids.
+    """Fan-out of one campaign's cell grids over an engine's futures.
 
     One dispatcher serves a whole :func:`run_scenarios` call, so its
     ``work_units`` / ``straggler_resplits`` counters aggregate across
-    scenarios into the run-level extras.  Routing is by backend
-    *capability*, not name: future-capable backends get work-splitting and
-    straggler re-splitting, the rest run each grid as one blocking batch
-    (with the engine's usual serial fallback when the platform cannot run
-    the backend at all).
+    scenarios into the run-level extras.  Without an engine (no workers,
+    no fault plan) every grid solves inline.
     """
 
     def __init__(
         self,
         *,
         workers: Optional[int],
-        pool: Optional[str],
         saturate_factor: float = 2.0,
         straggler_factor: float = 4.0,
         fault_plan: Any = None,
@@ -396,22 +381,18 @@ class _CampaignDispatcher:
             # wrapper -- never the shared process-wide engine, which other
             # callers (the service daemon, solve_many) may be using
             from ..faults.injector import FaultyBackend
-            from ..solvers.engine import SolveEngine
-            from ..solvers.engine.backends import create_backend
+            from ..solvers.engine import PersistentBackend, SerialBackend, SolveEngine
 
-            name = pool or (
-                "persistent" if workers is not None and workers > 1 else "serial"
-            )
-            inner = create_backend(name)
+            inner = PersistentBackend() if self.workers > 1 else SerialBackend()
             self._engine = SolveEngine(
                 backend=FaultyBackend(inner, fault_plan),
                 retry_policy=retry_policy,
             )
             self._owns_engine = True
-        elif workers is not None and workers > 1 and pool != "serial":
+        elif self.workers > 1:
             from ..solvers.engine import get_engine
 
-            self._engine = get_engine(pool)
+            self._engine = get_engine()
 
     @property
     def backend_name(self) -> str:
@@ -437,11 +418,6 @@ class _CampaignDispatcher:
         engine = self._engine
         if engine is None or len(cells) < 2:
             return [_solve_task(cell) for cell in cells]
-        if not engine.backend.supports_futures:
-            flat = engine.run_batch(cells, self.workers)
-            if flat is None:
-                flat = [_solve_task(cell) for cell in cells]
-            return flat
         return self._solve_split(engine, cells)
 
     # ------------------------------------------------------------------
@@ -630,8 +606,7 @@ def _run_scenario(
     rounds never contend with, or run ahead of, warmup work).  Cells are
     ordered tree-major within each round, keeping arena chunks
     single-tree.  Execution strategy (work-splitting, straggler
-    re-splitting, blocking batches, serial) is entirely the
-    ``dispatcher``'s concern.
+    re-splitting, inline) is entirely the ``dispatcher``'s concern.
     """
     instances = scenario.build(seed)
     trees = [tree for _, tree in instances]

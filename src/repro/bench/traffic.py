@@ -451,8 +451,6 @@ def _cell_record(
     stats: Dict[str, Any],
     *,
     transport: str,
-    pool: str,
-    workers: int,
 ) -> BenchRecord:
     """One schema-v1 record per cell: times are latencies, extras the rest.
 
@@ -488,8 +486,8 @@ def _cell_record(
         "service_max_queue_depth": stats.get("max_queue_depth"),
         "service_interned_trees": stats.get("interned_trees"),
         "service_interner_hits": stats.get("interner_hits"),
-        "pool": pool,
-        "workers": workers,
+        "pool": stats["pool"],
+        "workers": stats["workers"],
     }
     return BenchRecord(
         scenario=scenario.name,
@@ -511,15 +509,14 @@ def run_traffic_scenarios(
     *,
     seed: int = 0,
     workers: Optional[int] = None,
-    pool: Optional[str] = None,
     transport: str = "inproc",
     max_pending: int = 128,
 ) -> BenchRun:
     """Run every cell of every traffic scenario; a standard :class:`BenchRun`.
 
     Each cell gets a fresh :class:`~repro.service.SolverService` (so its
-    counters are the cell's counters) configured with ``workers``/``pool``
-    exactly like the service the ``repro serve`` command starts.  The
+    counters are the cell's counters) configured with ``workers`` exactly
+    like the service the ``repro serve`` command starts.  The
     result flows through the existing artifact pipeline: ``write_artifact``
     persists it, ``compare_artifacts`` diffs two traffic runs cell by cell.
     """
@@ -536,7 +533,6 @@ def run_traffic_scenarios(
             for cell in scenario.cells:
                 service = SolverService(
                     workers=workers,
-                    pool=pool,
                     max_pending=max_pending,
                     # the generator sends each distinct tree in full exactly
                     # once and by token afterwards, so the interner must hold
@@ -548,13 +544,9 @@ def run_traffic_scenarios(
                         service, scenario, cell,
                         seed=seed, transport=transport,
                     )
-                record = _cell_record(
-                    scenario, cell, outcome, stats,
-                    transport=transport,
-                    pool=service.pool_mode,
-                    workers=service.workers,
-                )
-                records.append(record)
+                records.append(_cell_record(
+                    scenario, cell, outcome, stats, transport=transport,
+                ))
         return records
 
     records = asyncio.run(_run())
@@ -565,7 +557,6 @@ def run_traffic_scenarios(
         warmup=0,
         workers=workers,
         scenarios=tuple(s.name for s in scenarios),
-        pool=pool,
         campaign_seconds=perf_counter() - start,
     )
 

@@ -63,8 +63,6 @@ from .core.serialize import load_tree, save_tree, solve_report_to_dict
 from .core.tree import TreeValidationError
 from .solvers import (
     UnknownSolverError,
-    backend_names,
-    backend_table,
     compare,
     solve,
     solve_many,
@@ -72,14 +70,6 @@ from .solvers import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-def _pool_help() -> str:
-    """``--pool`` help text straight from the backend registry."""
-    entries = "; ".join(
-        f"'{spec.name}' = {spec.summary}" for spec in backend_table()
-    )
-    return f"executor backend: {entries}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="eviction heuristic for the minio solver")
     p_solve.add_argument("--workers", type=int, default=None,
                          help="worker processes for multi-tree batches (default: serial)")
-    p_solve.add_argument("--pool", choices=backend_names(), default=None,
-                         help=_pool_help() + " (default: persistent)")
     p_solve.add_argument("--json", action="store_true",
                          help="emit the full SolveReport(s) as JSON")
     p_solve.add_argument("--list", action="store_true", dest="list_algorithms",
@@ -179,11 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--warmup", type=int, default=0,
                          help="untimed warmup rounds before timing (default: 0)")
     p_bench.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the solver batches (default: serial)")
-    p_bench.add_argument("--pool", choices=backend_names(), default=None,
-                         help=_pool_help() + " (default: persistent; "
-                              "future-capable backends run the campaign with "
-                              "work-splitting and straggler re-splitting)")
+                         help="worker processes for the solver batches; more "
+                              "than one runs the campaign on the persistent "
+                              "process engine with work-splitting (default: "
+                              "serial)")
     p_bench.add_argument("--json", action="store_true",
                          help="persist a schema-versioned BENCH_<timestamp>.json artifact")
     p_bench.add_argument("--output", type=Path, default=None, metavar="PATH",
@@ -227,12 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address for --port (default: 127.0.0.1)")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="worker processes of the persistent engine "
-                              "(default: in-process execution)")
-    p_serve.add_argument("--pool", choices=backend_names(), default=None,
-                         help=_pool_help()
-                              + " (default: persistent when --workers > 1, "
-                                "else serial)")
+                         help="worker processes of the persistent engine; "
+                              "0 or 1 solve in-process (default: in-process)")
     p_serve.add_argument("--max-pending", type=int, default=128, metavar="N",
                          help="admission bound on queued+executing requests; "
                               "beyond it requests are rejected (default: 128)")
@@ -252,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--faults", default=None, metavar="SPEC",
                          help="inject a deterministic fault plan into the "
                               "service engine (same grammar as bench --faults; "
-                              "smoke tests drive the breaker with it)")
+                              "needs --workers > 1)")
     from .obs import LOG_LEVELS
 
     p_serve.add_argument("--log-level", choices=LOG_LEVELS, default="info",
@@ -328,8 +311,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if len(trees) == 1:
         reports = [solve(trees[0], args.algorithm, memory=args.memory, **options)]
     else:
-        if args.pool is not None:
-            options["pool"] = args.pool
         batch = solve_many(
             trees, args.algorithm, memory=args.memory, workers=args.workers, **options
         )
@@ -535,7 +516,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             workers=args.workers,
             validate=not args.no_validate,
-            pool=args.pool,
             fault_plan=fault_plan,
             checkpoint=args.checkpoint,
             resume=args.resume,
@@ -545,7 +525,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     print(run.format_table())
     print(f"\ncampaign wall time: {run.campaign_seconds:.3f}s"
-          + (f" (workers={run.workers}, pool={run.pool or 'persistent'})"
+          + (f" (workers={run.workers}, backend={run.extras['backend']})"
              if run.workers else ""))
     if args.json or args.output is not None:
         path = bench.write_artifact(run, args.output)
@@ -579,6 +559,10 @@ def _format_traffic_table(run) -> str:
 
 def _cmd_bench_traffic(args: argparse.Namespace, bench) -> int:
     """The ``bench --traffic`` branch: open-loop load over the service."""
+    if args.faults is not None:
+        print("error: --faults injects into the campaign engine; traffic "
+              "runs take no fault plan", file=sys.stderr)
+        return 2
     scenarios = bench.select_traffic_scenarios(args.filter, smoke=args.smoke)
     if not scenarios:
         print(f"error: no traffic scenario matches filter {args.filter!r}",
@@ -588,7 +572,6 @@ def _cmd_bench_traffic(args: argparse.Namespace, bench) -> int:
         scenarios,
         seed=args.seed,
         workers=args.workers,
-        pool=args.pool,
         transport=args.transport,
     )
     print(_format_traffic_table(run))
@@ -649,7 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         service = SolverService(
             workers=args.workers,
-            pool=args.pool,
             max_pending=args.max_pending,
             max_inflight=args.max_inflight,
             default_deadline=args.deadline,
@@ -670,7 +652,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server = await start_http_server(service, args.host, args.port)
             host, port = server.sockets[0].getsockname()[:2]
             print(f"serving on http://{host}:{port} "
-                  f"(pool={service.pool_mode}, workers={service.workers}, "
+                  f"(backend={service.pool_mode}, workers={service.workers}, "
                   f"max-pending={service.max_pending}) -- Ctrl-C to stop",
                   file=sys.stderr)
             try:

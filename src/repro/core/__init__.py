@@ -12,12 +12,11 @@ substrate) and implements every algorithm of the paper:
 * the MinIO out-of-core scheduler and its six eviction heuristics
   (:mod:`repro.core.minio`);
 * the array-backed tree kernel every solver runs on, including the
-  ``Explore`` solver of Algorithm 3 (:mod:`repro.core.kernel`);
-* exhaustive ground truth (:mod:`repro.core.bruteforce`) and pebble-game
-  special cases (:mod:`repro.core.pebble`) used for validation.
+  ``Explore`` solver of Algorithm 3 (:mod:`repro.core.kernel`).
 
 Each algorithm has one implementation, on the kernel; the test suite keeps
-the original per-node versions as oracles.
+the original per-node versions, the exhaustive ground truth and the
+pebble-game special cases as oracles.
 """
 
 from .builders import (

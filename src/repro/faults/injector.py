@@ -1,10 +1,10 @@
 """The ``faults=``-wrapping backend decorator: chaos without backend edits.
 
-:class:`FaultyBackend` wraps any registered :class:`ExecutorBackend` and
-executes a :class:`~repro.faults.plan.FaultPlan` against the cell stream
-passing through it.  The wrapped backend is untouched -- the whole point of
-the decorator shape is that persistent/threads/serial all run under chaos
-with zero code changes to the backends themselves.
+:class:`FaultyBackend` wraps an :class:`ExecutorBackend` and executes a
+:class:`~repro.faults.plan.FaultPlan` against the cell stream passing
+through it.  The wrapped backend is untouched -- the whole point of the
+decorator shape is that the persistent and serial backends both run under
+chaos with zero code changes to the backends themselves.
 
 Position bookkeeping is the subtle part.  Faults are keyed by *cell
 sequence number*: the order cells are **first** submitted.  The resilience
@@ -21,7 +21,7 @@ Fault delivery by kind:
   ``transient``) ride inside the cell's options under the reserved
   ``_fault`` key; the solver dispatch trips them in the worker *before*
   the wall-time stamp starts.  ``worker_kill`` degrades to ``transient``
-  on backends that do not release the GIL (threads/serial): an in-process
+  on backends that do not release the GIL (serial): an in-process
   "worker" cannot die without taking the parent with it.
 * submit-side kinds fire in this wrapper: ``pickling`` and ``shm`` raise
   (``PicklingError`` / ``ExecutorUnavailable``) from blocking calls and
@@ -68,7 +68,7 @@ def _submit_error(spec: FaultSpec) -> BaseException:
 class FaultyBackend(ExecutorBackend):
     """Wrap ``inner`` so the given :class:`FaultPlan` fires against it.
 
-    Mirrors the inner backend's name and capability flags, delegates every
+    Mirrors the inner backend's name and ``releases_gil``, delegates every
     lifecycle call, and keeps per-wrapper injection counters (``injected``)
     alongside the process-global ledger.
     """
@@ -82,12 +82,10 @@ class FaultyBackend(ExecutorBackend):
         self._refs: List[Cell] = []
         self._next_position = 0
         self.injected: Dict[str, int] = {}
-        # mirror identity and capabilities so every layer above sees the
-        # wrapped backend exactly as it would see the real one
+        # mirror identity so every layer above sees the wrapped backend
+        # exactly as it would see the real one
         self.name = inner.name
-        self.summary = inner.summary
         self.releases_gil = inner.releases_gil
-        self.supports_futures = inner.supports_futures
 
     # ------------------------------------------------------------------
     @property

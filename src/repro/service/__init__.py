@@ -26,7 +26,7 @@ Quickstart::
     from repro.service import SolverService
 
     async def main():
-        async with SolverService(workers=4, pool="persistent") as svc:
+        async with SolverService(workers=4) as svc:
             resp = await svc.handle({
                 "tree": {"parents": [-1, 0, 0, 1], "f": [0, 2, 3, 1]},
                 "algorithm": "minmem",

@@ -15,10 +15,9 @@ control loop modelled on the scatter-once / stop-flag structure of treeck's
   worker processes exactly once;
 * **dispatch**: a dispatcher task feeds admitted requests to the executor --
   per-request futures on a :class:`~repro.solvers.engine.SolveEngine` over
-  an executor backend (``pool="persistent"`` processes,
-  ``pool="threads"``) or an in-process thread pool (``pool="serial"``, also
-  the automatic fallback where the backend is unavailable) -- with a
-  bounded number in flight;
+  worker processes (``workers > 1``) or an in-process thread pool (fewer
+  workers, also the automatic fallback where the engine is unavailable) --
+  with a bounded number in flight;
 * **report**: the response carries the frozen
   :class:`~repro.solvers.SolveReport` plus the queue/solve/total timing
   breakdown.
@@ -57,7 +56,6 @@ from ..obs import (
     log_event,
     render_prometheus,
 )
-from ..solvers.engine.backends import backend_names
 from ..solvers.facade import _solve_task
 from .errors import (
     CircuitOpenError,
@@ -175,25 +173,19 @@ class SolverService:
     Parameters
     ----------
     workers:
-        Worker processes of the persistent engine (``pool="persistent"``);
-        ``None``/``0``/``1`` with the default pool selects the in-process
-        thread executor instead.
-    pool:
-        Executor backend of the service (any registered backend name).
-        Non-serial modes make the service own a
-        :class:`~repro.solvers.engine.SolveEngine` on that backend
-        (``"persistent"`` processes + shared-memory arena, ``"threads"``),
-        shut down with the service; ``"serial"`` uses an in-process thread
-        pool (deterministic, sandbox-safe).  ``None`` picks
-        ``"persistent"`` when ``workers > 1``.  Unknown strings raise
-        :class:`ValueError` eagerly, mirroring ``solve_many``.
+        Worker processes.  ``workers > 1`` makes the service own a
+        :class:`~repro.solvers.engine.SolveEngine` on the persistent
+        process engine (workers + shared-memory arena), shut down with the
+        service; ``None``/``0``/``1`` solve on an in-process thread pool
+        (deterministic, sandbox-safe).  ``pool_mode`` names the choice
+        (``"persistent"`` or ``"serial"``) for stats and logs.
     max_pending:
         Admission bound on requests alive in the service (queued plus
         executing).  Submissions beyond it raise :class:`QueueFullError`.
     max_inflight:
         Solves running concurrently; defaults to ``2 x workers`` on the
         engine (one extra per worker hides IPC latency at the boundary) and
-        ``workers or 1`` on threads.
+        ``workers or 1`` in-process.
     default_deadline:
         Deadline (seconds) applied to requests that do not carry one;
         ``None`` = no implicit deadline.
@@ -211,13 +203,14 @@ class SolverService:
         backend is wrapped in a
         :class:`~repro.faults.FaultyBackend` so the daemon runs under
         deterministic chaos (the service smoke drives the breaker this way).
+        The plan needs the engine: without ``workers > 1`` it could never
+        fire, so :class:`ValueError` is raised instead of dropping it.
     """
 
     def __init__(
         self,
         *,
         workers: Optional[int] = None,
-        pool: Optional[str] = None,
         max_pending: int = 128,
         max_inflight: Optional[int] = None,
         default_deadline: Optional[float] = None,
@@ -228,21 +221,19 @@ class SolverService:
         breaker: Optional[CircuitBreaker] = None,
         fault_plan: Optional[Any] = None,
     ) -> None:
-        if pool not in (None, *backend_names()):
-            raise ValueError(
-                f"unknown service pool mode {pool!r}; expected one of "
-                f"{backend_names()}"
-            )
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self.workers = int(workers or 0)
-        if pool is None:
-            pool = "persistent" if self.workers > 1 else "serial"
-        self.pool_mode = pool
+        self.pool_mode = "persistent" if self.workers > 1 else "serial"
+        if fault_plan is not None and self.pool_mode == "serial":
+            raise ValueError(
+                "a fault plan needs the process engine (workers > 1); "
+                "in-process execution has no backend for it to fault"
+            )
         self.max_pending = max_pending
         if max_inflight is None:
-            if pool != "serial":
-                max_inflight = 2 * max(1, self.workers)
+            if self.pool_mode == "persistent":
+                max_inflight = 2 * self.workers
             else:
                 max_inflight = max(1, self.workers)
         if max_inflight < 1:
@@ -284,34 +275,21 @@ class SolverService:
         self._inflight = asyncio.Semaphore(self.max_inflight)
         self._idle = asyncio.Event()
         self._idle.set()
-        if self.pool_mode != "serial":
-            from ..solvers.engine import SolveEngine
+        if self.pool_mode == "persistent":
+            from ..solvers.engine import PersistentBackend, SolveEngine
 
-            # the arena toggle only exists on the persistent backend; other
-            # backends take no construction options from the service
-            backend_options: Dict[str, Any] = {}
-            if self.pool_mode == "persistent" and self._use_shared_memory is not None:
-                backend_options["use_shared_memory"] = self._use_shared_memory
+            backend = PersistentBackend(use_shared_memory=self._use_shared_memory)
             if self._fault_plan is not None:
                 from ..faults import FaultyBackend
-                from ..solvers.engine.backends import create_backend
 
-                self._engine = SolveEngine(
-                    backend=FaultyBackend(
-                        create_backend(self.pool_mode, **backend_options),
-                        self._fault_plan,
-                    )
-                )
-            else:
-                self._engine = SolveEngine(
-                    backend=self.pool_mode, **backend_options
-                )
+                backend = FaultyBackend(backend, self._fault_plan)
+            self._engine = SolveEngine(backend=backend)
         self._dispatcher = loop.create_task(self._dispatch_loop())
         self._started = True
         self._accepting = True
         log_event(
             _log, "service_started",
-            pool=self.pool_mode, workers=self.workers,
+            backend=self.pool_mode, workers=self.workers,
             max_pending=self.max_pending, max_inflight=self.max_inflight,
         )
         return self
@@ -606,7 +584,7 @@ class SolverService:
         ladder: the engine backend's name when the engine answered,
         ``"threads"`` when a broken pool pushed the request onto the
         in-process thread fallback, ``"serial"`` when the service has no
-        engine at all (``pool="serial"``).  Engine outcomes feed the circuit
+        engine at all (``workers <= 1``).  Engine outcomes feed the circuit
         breaker: a pool crash is a failure, anything else -- including a
         solver-level exception, which proves the engine alive -- a success.
         """
@@ -770,18 +748,18 @@ class SolverService:
     def snapshot(self) -> Dict[str, Any]:
         """Live stats document (the ``/stats`` and stdio ``op: stats`` body)."""
         doc = self.stats.snapshot()
-        doc.update(
-            pending=self._pending_count,
-            queue_depth=self.queue_depth,
-            max_pending=self.max_pending,
-            max_inflight=self.max_inflight,
-            pool=self.pool_mode,
-            workers=self.workers,
-            interned_trees=len(self.interner),
-            interner_hits=self.interner.hits,
-            interner_misses=self.interner.misses,
-            accepting=self._accepting,
-        )
+        doc.update({
+            "pending": self._pending_count,
+            "queue_depth": self.queue_depth,
+            "max_pending": self.max_pending,
+            "max_inflight": self.max_inflight,
+            "pool": self.pool_mode,
+            "workers": self.workers,
+            "interned_trees": len(self.interner),
+            "interner_hits": self.interner.hits,
+            "interner_misses": self.interner.misses,
+            "accepting": self._accepting,
+        })
         doc["breaker"] = self.breaker.snapshot()
         if self._engine is not None:
             doc["engine"] = self._engine.snapshot()
@@ -903,50 +881,47 @@ class SolverService:
                 "Engine batch retries after retryable faults.",
                 labels=backend, value=engine["retries"],
             )
-            # backend sub-documents are capability-dependent: process and
-            # thread backends expose a pool, only the process engine an arena
-            pool = engine.get("pool")
-            if pool is not None:
-                reg.gauge(
-                    "repro_engine_pool_workers", "Workers of the live pool.",
-                    labels=backend, value=pool["workers"],
-                )
+            # the process engine's pool and arena sub-documents
+            pool = engine["pool"]
+            reg.gauge(
+                "repro_engine_pool_workers", "Workers of the live pool.",
+                labels=backend, value=pool["workers"],
+            )
+            reg.counter(
+                "repro_engine_pool_creations_total",
+                "Worker pools built from scratch.",
+                labels=backend, value=pool["creations"],
+            )
+            reg.counter(
+                "repro_engine_pool_grows_total",
+                "Worker pools rebuilt larger.",
+                labels=backend, value=pool["grows"],
+            )
+            reg.counter(
+                "repro_engine_pool_resets_total",
+                "Broken worker pools discarded.",
+                labels=backend, value=pool["resets"],
+            )
+            arena = engine["arena"]
+            for transport, value in (
+                ("shm", arena["shm_exports"]),
+                ("blob", arena["blob_exports"]),
+            ):
                 reg.counter(
-                    "repro_engine_pool_creations_total",
-                    "Worker pools built from scratch.",
-                    labels=backend, value=pool["creations"],
+                    "repro_engine_arena_exports_total",
+                    "Tree kernels shipped to the workers, by transport.",
+                    labels={"transport": transport, **backend}, value=value,
                 )
-                reg.counter(
-                    "repro_engine_pool_grows_total",
-                    "Worker pools rebuilt larger.",
-                    labels=backend, value=pool["grows"],
-                )
-                reg.counter(
-                    "repro_engine_pool_resets_total",
-                    "Broken worker pools discarded.",
-                    labels=backend, value=pool["resets"],
-                )
-            arena = engine.get("arena")
-            if arena is not None:
-                for transport, value in (
-                    ("shm", arena["shm_exports"]),
-                    ("blob", arena["blob_exports"]),
-                ):
-                    reg.counter(
-                        "repro_engine_arena_exports_total",
-                        "Tree kernels shipped to the workers, by transport.",
-                        labels={"transport": transport, **backend}, value=value,
-                    )
-                reg.counter(
-                    "repro_engine_arena_reuses_total",
-                    "Exports answered by an already-shipped segment.",
-                    labels=backend, value=arena["reuses"],
-                )
-                reg.gauge(
-                    "repro_engine_arena_segments",
-                    "Live shared-memory segments.",
-                    labels=backend, value=arena["live_segments"],
-                )
+            reg.counter(
+                "repro_engine_arena_reuses_total",
+                "Exports answered by an already-shipped segment.",
+                labels=backend, value=arena["reuses"],
+            )
+            reg.gauge(
+                "repro_engine_arena_segments",
+                "Live shared-memory segments.",
+                labels=backend, value=arena["live_segments"],
+            )
         reg.gauge(
             "repro_circuit_state",
             "Engine circuit breaker state (closed=0, open=1, half_open=2).",

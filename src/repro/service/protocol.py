@@ -65,9 +65,11 @@ __all__ = [
     "error_response",
 ]
 
-#: options reserved by the batch facade; a request smuggling one in would be
-#: silently dropped by lenient dispatch, so reject it loudly instead
-RESERVED_OPTIONS = ("pool",)
+#: options a request may not carry: ``pool`` (the batch facade's former
+#: executor switch, which lenient dispatch would silently drop) and
+#: ``_fault`` (the fault-injection hook: the solver dispatch trips it, so a
+#: client could stall a solver thread or kill the daemon's process)
+RESERVED_OPTIONS = ("pool", "_fault")
 
 #: report verbosity levels a request may ask for
 REPORT_MODES = ("full", "summary", "none")
@@ -278,8 +280,8 @@ def parse_request(
     reserved = sorted(set(options) & set(RESERVED_OPTIONS))
     if reserved:
         raise BadRequestError(
-            f"option(s) {reserved} are reserved by the batch facade and "
-            "have no effect on a service request"
+            f"option(s) {reserved} are reserved and not accepted in a "
+            "service request"
         )
 
     report_mode = doc.get("report", "full")

@@ -33,15 +33,11 @@ from .engine import (  # noqa: E402
     EngineStoppedError,
     ExecutorBackend,
     SolveEngine,
-    backend_names,
-    backend_table,
     get_engine,
-    register_backend,
     shutdown_engine,
 )
 from .facade import (  # noqa: E402
     DEFAULT_COMPARE_ALGORITHMS,
-    POOL_MODES,
     Comparison,
     compare,
     solve,
@@ -66,13 +62,9 @@ __all__ = [
     "DEFAULT_ALGORITHM",
     "DEFAULT_COMPARE_ALGORITHMS",
     "MINMEMORY_SOLVERS",
-    "POOL_MODES",
     "EngineStoppedError",
     "ExecutorBackend",
     "SolveEngine",
-    "backend_names",
-    "backend_table",
     "get_engine",
-    "register_backend",
     "shutdown_engine",
 ]

@@ -8,14 +8,12 @@ blobs otherwise), and a :class:`~.dispatch.SolveEngine` that fans compact
 ``(token, algorithm, memory, options)`` payloads over the pool with a
 computed chunk size.
 
-Execution strategies are pluggable: :class:`~.dispatch.SolveEngine`
-delegates to an :class:`~.backends.ExecutorBackend` chosen by name from
-the backend registry (:func:`~.backends.backend_names` -- ``persistent``,
-``serial`` and ``threads``).
-``solve_many(..., pool=...)`` routes through the matching process-wide
-engine from :func:`get_engine`; :func:`shutdown_engine` releases every
-default engine's workers and shared segments explicitly (also registered
-``atexit``).
+:class:`~.dispatch.SolveEngine` delegates execution to an
+:class:`~.backends.ExecutorBackend`: the persistent process engine, or
+the in-process serial backend.  ``solve_many(..., workers=N)`` with
+``N > 1`` routes through the process-wide engine from :func:`get_engine`;
+:func:`shutdown_engine` releases its workers and shared segments
+explicitly (also registered ``atexit``).
 
 The service daemon (:mod:`repro.service`) uses the asynchronous seam
 instead: :meth:`SolveEngine.submit` hands back one future per request, and
@@ -27,14 +25,10 @@ SolveEngine() as eng:``), and ``shutdown`` is idempotent.
 
 from .arena import TreeArena, TreeRef, resolve, worker_cache_info
 from .backends import (
-    BackendSpec,
     ExecutorBackend,
     ExecutorUnavailable,
-    backend_names,
-    backend_table,
-    create_backend,
-    get_backend_spec,
-    register_backend,
+    PersistentBackend,
+    SerialBackend,
 )
 from .dispatch import EngineStoppedError, SolveEngine, get_engine, shutdown_engine
 from .pool import PersistentPool
@@ -43,17 +37,13 @@ __all__ = [
     "TreeArena",
     "TreeRef",
     "PersistentPool",
-    "BackendSpec",
     "ExecutorBackend",
     "ExecutorUnavailable",
+    "PersistentBackend",
+    "SerialBackend",
     "EngineStoppedError",
     "SolveEngine",
-    "backend_names",
-    "backend_table",
-    "create_backend",
-    "get_backend_spec",
     "get_engine",
-    "register_backend",
     "shutdown_engine",
     "resolve",
     "worker_cache_info",

@@ -1,14 +1,11 @@
-"""The default backend: persistent process pool + shared-memory tree arena.
+"""The backend of ``workers > 1``: process pool + shared-memory tree arena.
 
-This is the engine's original execution strategy, rehomed behind the
-:class:`~.base.ExecutorBackend` protocol: a
-:class:`~repro.solvers.engine.pool.PersistentPool` of worker processes
+A :class:`~repro.solvers.engine.pool.PersistentPool` of worker processes
 reused across batches, and a :class:`~repro.solvers.engine.arena.TreeArena`
 that ships each tree's flat kernel arrays to the workers exactly once, so
 payloads are compact ``(token, algorithm, memory, options)`` tuples rather
-than pickled trees.  Behaviour -- clamping, chunk sizing, the grow-retry on
-a concurrently replaced executor, arena dedup by kernel identity -- is
-unchanged from the pre-backend engine.
+than pickled trees.  Concurrently replaced executors (pool grows) are
+retried by policy; see :func:`_call_with_pool_retry`.
 """
 
 from __future__ import annotations
@@ -18,12 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..arena import TreeArena, TreeRef, resolve
 from ..pool import PersistentPool
-from .base import (
-    Cell,
-    ExecutorBackend,
-    ExecutorUnavailable,
-    _call_with_pool_retry,
-)
+from .base import Cell, ExecutorBackend, ExecutorUnavailable
 
 __all__ = [
     "PersistentBackend",
@@ -59,13 +51,57 @@ def _compute_chunksize(n_payloads: int, workers: int) -> int:
     return max(1, min(MAX_CHUNKSIZE, n_payloads // (workers * 4) or 1))
 
 
+def _call_with_pool_retry(pool, executor, call, *, policy=None):
+    """Run ``call(executor)``, healing pool-grow races by retry policy.
+
+    Two failure shapes are handled:
+
+    * **grow race** -- a concurrent caller grew the pool between the
+      backend's ``ensure()`` and this call, so the drained old executor
+      rejects new futures ("cannot schedule new futures after shutdown").
+      Retried on the replacement executor as many times as the
+      :class:`~repro.faults.policy.RetryPolicy` allows (fault class
+      ``pool_grow``; no backoff -- the replacement is already live, there
+      is nothing to wait for).  A ``RuntimeError`` with the pool unchanged
+      is a genuine solver error and re-raises immediately.
+    * **broken pool** -- the executor lost a worker.  The broken executor
+      is retired via the identity-guarded
+      :meth:`~repro.solvers.engine.pool.PersistentPool.invalidate` (so
+      concurrent observers of the same crash trigger exactly one reset)
+      and the error propagates for the engine-level policy to retry or
+      degrade.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    # lazy: repro.faults wraps this backend, so module-level imports in
+    # either direction would cycle
+    from ....faults.policy import DEFAULT_RETRY_POLICY
+    from ....faults.stats import global_fault_stats
+
+    policy = policy or DEFAULT_RETRY_POLICY
+    attempt = 0
+    current = executor
+    while True:
+        attempt += 1
+        try:
+            return call(current)
+        except BrokenProcessPool:
+            pool.invalidate(current)
+            raise
+        except RuntimeError:
+            replacement = pool.executor
+            if replacement is None or replacement is current:
+                raise
+            if not policy.should_retry("pool_grow", attempt):
+                raise
+            global_fault_stats.record_retry("backend", "pool_grow")
+            current = replacement
+
+
 class PersistentBackend(ExecutorBackend):
     """Shared-memory process engine: workers and resident trees persist."""
 
     name = "persistent"
-    summary = (
-        "shared-memory process engine reused across batches (the default)"
-    )
     releases_gil = True
 
     def __init__(self, *, use_shared_memory: Optional[bool] = None) -> None:

@@ -1,11 +1,11 @@
-"""Batch/submit dispatch over a pluggable executor backend.
+"""Batch/submit dispatch over an executor backend.
 
 A *cell* is one solver invocation: ``(tree, algorithm, memory, options)``.
 :class:`SolveEngine` owns the cross-cutting concerns -- the stop flag,
 serial-fallback warnings, observability counters -- and delegates actual
-execution to an :class:`~.backends.ExecutorBackend` chosen by name from
-the backend registry (``persistent`` by default: the shared arena +
-persistent process pool; see :mod:`repro.solvers.engine.backends`).
+execution to an :class:`~.backends.ExecutorBackend` (by default the
+shared arena + persistent process pool of
+:class:`~.backends.PersistentBackend`).
 
 Results come back in cell order and are bit-identical to the serial path
 (``wall_time``, stamped inside the worker, is excluded from report
@@ -24,7 +24,7 @@ import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..report import SolveReport
-from .backends import ExecutorBackend, ExecutorUnavailable, create_backend
+from .backends import ExecutorBackend, ExecutorUnavailable, PersistentBackend
 
 # compatibility re-exports: the worker entry point and chunk sizing lived
 # here before the backend split, and pickled references resolve by module
@@ -53,33 +53,24 @@ Cell = Tuple[Any, str, Optional[float], Dict[str, Any]]
 class SolveEngine:
     """Stop flag + counters + fallback policy over one executor backend.
 
-    One engine instance (usually a process-wide default from
-    :func:`get_engine`, one per backend name) is shared by every
-    ``solve_many`` call and bench round; :meth:`shutdown` releases the
-    backend's workers and shipped state explicitly, and is registered via
-    ``atexit`` for the default engines.
+    One engine instance (usually the process-wide default from
+    :func:`get_engine`) is shared by every ``solve_many`` call and bench
+    round; :meth:`shutdown` releases the backend's workers and shipped
+    state explicitly, and is registered via ``atexit`` for the default
+    engine.
 
-    ``backend`` is a registry name (``"persistent"``, ``"threads"``, ...)
-    or an already-constructed :class:`~.backends.ExecutorBackend` (tests,
-    the fault injector's wrapper); extra keyword arguments go to the backend
-    constructor.  ``use_shared_memory`` is forwarded to the persistent
-    backend's arena, preserving the historical signature.
+    ``backend`` is the :class:`~.backends.ExecutorBackend` to run on
+    (default: a fresh :class:`~.backends.PersistentBackend`; tests and
+    the fault injector's wrapper pass their own).
     """
 
     def __init__(
         self,
         *,
-        backend: Any = "persistent",
-        use_shared_memory: Optional[bool] = None,
+        backend: Optional[ExecutorBackend] = None,
         retry_policy: Any = None,
-        **backend_options: Any,
     ) -> None:
-        if use_shared_memory is not None:
-            backend_options.setdefault("use_shared_memory", use_shared_memory)
-        if isinstance(backend, ExecutorBackend):
-            self.backend = backend
-        else:
-            self.backend = create_backend(backend or "persistent", **backend_options)
+        self.backend = backend if backend is not None else PersistentBackend()
         if retry_policy is None:
             from ...faults.policy import DEFAULT_RETRY_POLICY
 
@@ -102,9 +93,8 @@ class SolveEngine:
     def backend_name(self) -> str:
         return self.backend.name
 
-    # the persistent backend's plumbing, surfaced for callers that predate
-    # the backend split (tests, the service daemon's stats); ``None`` for
-    # backends without a pool or arena
+    # the persistent backend's plumbing, surfaced for tests and the service
+    # daemon's stats; ``None`` for backends without a pool or arena
     @property
     def pool(self):
         return getattr(self.backend, "pool", None)
@@ -316,9 +306,8 @@ class SolveEngine:
         Cheap and non-blocking (no worker round trips) -- this is what the
         service daemon embeds in every ``/stats`` document and exports under
         ``/metrics``.  The backend contributes its own sub-documents
-        (``pool``/``arena`` for the persistent engine, ``pool`` for
-        threads); worker kernel-cache hit rates need
-        a worker round trip, so they are sampled separately
+        (``pool``/``arena`` for the persistent engine); worker kernel-cache
+        hit rates need a worker round trip, so they are sampled separately
         (:meth:`sample_worker_caches`).
         """
         with self._lock:
@@ -344,39 +333,35 @@ class SolveEngine:
 
 
 # ----------------------------------------------------------------------
-# the process-wide default engines, one per backend name
+# the process-wide default engine
 # ----------------------------------------------------------------------
-_default_engines: Dict[str, SolveEngine] = {}
+_default_engine: Optional[SolveEngine] = None
 _default_lock = threading.Lock()
 _atexit_registered = False
 
 
-def get_engine(backend: Optional[str] = None) -> SolveEngine:
-    """The process-wide :class:`SolveEngine` for ``backend``, created lazily.
+def get_engine() -> SolveEngine:
+    """The process-wide persistent :class:`SolveEngine`, created lazily.
 
-    ``None`` means the default backend (``"persistent"``).  One engine is
-    kept per backend name, so ``solve_many(pool="threads")`` and the
-    default persistent batches coexist without tearing each other's
-    workers down; :func:`shutdown_engine` releases them all.
+    Shared by every ``solve_many`` call and campaign with ``workers > 1``;
+    :func:`shutdown_engine` releases it.
     """
-    global _atexit_registered
-    name = backend or "persistent"
+    global _default_engine, _atexit_registered
     with _default_lock:
-        engine = _default_engines.get(name)
-        if engine is None:
+        if _default_engine is None:
             import atexit
 
-            engine = _default_engines[name] = SolveEngine(backend=name)
+            _default_engine = SolveEngine()
             if not _atexit_registered:
                 _atexit_registered = True
                 atexit.register(shutdown_engine)
-        return engine
+        return _default_engine
 
 
 def shutdown_engine() -> None:
-    """Shut down every default engine (idempotent; rebuilt on demand)."""
+    """Shut down the default engine (idempotent; rebuilt on demand)."""
+    global _default_engine
     with _default_lock:
-        engines = list(_default_engines.values())
-        _default_engines.clear()
-    for engine in engines:
+        engine, _default_engine = _default_engine, None
+    if engine is not None:
         engine.shutdown()

@@ -35,12 +35,6 @@ class PersistentPool:
     a growing ``resets`` count on a live service is a worker-crash signal,
     a growing ``grows`` count means callers keep asking for more workers.
 
-    ``kind`` selects the executor family: ``"process"`` (the default, a
-    :class:`~concurrent.futures.ProcessPoolExecutor`) or ``"thread"`` (a
-    :class:`~concurrent.futures.ThreadPoolExecutor` for the in-process
-    ``threads`` backend).  The grow-never-shrink lifecycle, fork guard and
-    counters are identical for both.
-
     Lifecycle methods are serialized by an internal lock, and broken-pool
     healing should go through :meth:`invalidate` rather than :meth:`reset`:
     ``invalidate(executor)`` only discards the executor that actually broke,
@@ -49,10 +43,7 @@ class PersistentPool:
     replacement (exactly one ``resets`` increment per broken executor).
     """
 
-    def __init__(self, kind: str = "process") -> None:
-        if kind not in ("process", "thread"):
-            raise ValueError(f"unknown pool kind {kind!r}")
-        self._kind = kind
+    def __init__(self) -> None:
         self._executor = None
         self._workers = 0
         self._pid = os.getpid()
@@ -97,18 +88,14 @@ class PersistentPool:
                 return None
             if self._executor is not None and self._workers >= workers:
                 return self._executor
-            if self._kind == "thread":
-                from concurrent.futures import ThreadPoolExecutor as _Executor
-            else:
-                from concurrent.futures import ProcessPoolExecutor as _Executor
+            from concurrent.futures import ProcessPoolExecutor
 
             previous = self._executor
             try:
                 # pool construction allocates the multiprocessing queues and
                 # semaphores: this is where sandboxed platforms fail with
-                # OSError/PermissionError (thread pools construct lazily and
-                # practically never fail here)
-                executor = _Executor(max_workers=workers)
+                # OSError/PermissionError
+                executor = ProcessPoolExecutor(max_workers=workers)
             except OSError:
                 self._unavailable = previous is None
                 return previous  # keep a smaller live pool rather than nothing
@@ -183,7 +170,6 @@ class PersistentPool:
 
     def _snapshot_locked(self) -> dict:
         return {
-            "kind": self._kind,
             "workers": self._workers,
             "alive": self._executor is not None,
             "unavailable": self._unavailable,

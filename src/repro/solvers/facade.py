@@ -5,12 +5,11 @@ These three functions are the intended entry points of the library:
 * :func:`solve` runs one registered algorithm on one tree and returns a
   :class:`~repro.solvers.report.SolveReport`;
 * :func:`solve_many` batches ``trees x algorithms`` and, when ``workers > 1``,
-  fans the batch across an executor backend -- by default the persistent
-  shared-memory process engine of :mod:`repro.solvers.engine` (workers and
-  resident trees reused across calls); ``pool=`` selects any registered
-  backend (see :data:`POOL_MODES`), falling back to serial execution when
-  the platform cannot run it, e.g. in sandboxes; results are bit-identical
-  to the serial path because every registered solver is deterministic;
+  fans the batch across the persistent shared-memory process engine of
+  :mod:`repro.solvers.engine` (workers and resident trees reused across
+  calls), falling back to serial execution when the platform cannot spawn
+  workers, e.g. in sandboxes; results are bit-identical to the serial path
+  because every registered solver is deterministic;
 * :func:`compare` runs several algorithms on the same tree and returns them
   ranked (peak memory first, then I/O volume, then wall time).
 """
@@ -24,7 +23,6 @@ from time import perf_counter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.tree import Tree
-from .engine.backends import backend_names
 from .registry import SolverSpec, get_solver
 from .report import SolveReport
 
@@ -34,17 +32,10 @@ __all__ = [
     "compare",
     "Comparison",
     "DEFAULT_COMPARE_ALGORITHMS",
-    "POOL_MODES",
 ]
 
 #: algorithms compared side by side when :func:`compare` is given none
 DEFAULT_COMPARE_ALGORITHMS = ("postorder", "liu", "minmem")
-
-#: executor modes for parallel batches, straight from the backend registry
-#: (one source of truth shared with ``bench --pool`` and ``serve --pool``):
-#: the persistent shared-memory process engine (default), forced serial
-#: execution, and a persistent in-process thread pool
-POOL_MODES = backend_names()
 
 AlgorithmArg = Union[str, Sequence[str]]
 
@@ -238,23 +229,20 @@ def solve_many(
     memory : float, optional
         Forwarded to every :func:`solve` call (budgeted solvers only).
     workers : int, optional
-        ``None``, ``0`` or ``1`` run serially in-process.  Larger values use
-        a process pool of that many workers; if the platform cannot spawn
-        subprocesses the batch degrades to the serial path with a
-        :class:`RuntimeWarning` (emitted once per engine for the missing
-        platform, per batch for pool crashes and unpicklable options; the
-        results are identical either way, only slower).
+        ``None``, ``0`` or ``1`` run serially in-process.  Larger values run
+        on the process-wide :class:`~repro.solvers.engine.SolveEngine`:
+        worker processes stay alive across calls and every tree's kernel is
+        shipped to them exactly once through the shared arena.  If the
+        platform cannot spawn subprocesses the batch degrades to the serial
+        path with a :class:`RuntimeWarning` (emitted once per engine for the
+        missing platform, per batch for pool crashes and unpicklable
+        options; the results are identical either way, only slower).
     options
         Forwarded to every solver with lenient dispatch (options a solver
         does not declare are dropped for that solver, so one option set can
-        serve a mixed batch).  The reserved option ``pool`` selects the
-        executor backend instead of reaching any solver (any name in
-        :data:`POOL_MODES`): ``pool="persistent"`` (the default) reuses the
-        process-wide :class:`~repro.solvers.engine.SolveEngine` -- workers
-        stay alive across calls and every tree's kernel is shipped to them
-        exactly once through the shared arena; ``pool="threads"`` runs on a
-        persistent in-process thread pool; ``pool="serial"`` forces
-        in-process execution regardless of ``workers``.
+        serve a mixed batch).  ``pool`` is rejected with :class:`TypeError`:
+        it used to choose the executor, which ``workers`` now decides, and
+        lenient dispatch would otherwise drop it without a word.
 
     Returns
     -------
@@ -262,9 +250,11 @@ def solve_many(
         One dictionary per input tree (in input order) mapping the
         canonical algorithm name to its :class:`SolveReport`.
     """
-    pool = options.pop("pool", None)
-    if pool not in (None, *POOL_MODES):
-        raise ValueError(f"unknown pool mode {pool!r}; expected one of {POOL_MODES}")
+    if "pool" in options:
+        raise TypeError(
+            "solve_many() no longer takes a pool option; the worker count "
+            "picks the executor (workers > 1 runs on the process engine)"
+        )
     tree_list = list(trees)
     names = _normalize_algorithms(algorithms)
     # one shared options dict: solvers never mutate it (_prepare_options
@@ -275,11 +265,10 @@ def solve_many(
     ]
 
     flat: Optional[List[SolveReport]] = None
-    parallel = workers is not None and workers > 1 and len(payloads) > 1
-    if parallel and pool != "serial":
+    if workers is not None and workers > 1 and len(payloads) > 1:
         from .engine import get_engine
 
-        flat = get_engine(pool).run_batch(payloads, workers)
+        flat = get_engine().run_batch(payloads, workers)
     if flat is None:
         flat = [_solve_task(payload) for payload in payloads]
 

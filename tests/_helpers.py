@@ -5,16 +5,28 @@ files, so test modules are top-level modules and ``from .conftest import ...``
 relative imports fail at collection.  Helpers shared across test files
 therefore live here and are imported absolutely::
 
-    from _helpers import make_random_tree
+    from _helpers import make_random_tree, can_spawn_workers
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from repro.core.tree import Tree
+from repro.solvers.engine.pool import PersistentPool
 
-__all__ = ["make_random_tree"]
+__all__ = ["can_spawn_workers", "make_random_tree"]
+
+
+@functools.lru_cache(maxsize=None)
+def can_spawn_workers() -> bool:
+    """Whether this platform can start the engine's worker processes."""
+    pool = PersistentPool()
+    try:
+        return pool.ensure(2) is not None
+    finally:
+        pool.shutdown()
 
 
 def make_random_tree(

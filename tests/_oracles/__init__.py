@@ -5,11 +5,14 @@ Every algorithm in ``src/`` has one implementation, on the flat
 vectorized numpy).  The original implementations -- written node by node
 against the dict-based :class:`~repro.core.tree.Tree` accessors, and entry
 by entry in the sparse layer -- live here unchanged, so tests can require
-both to agree on every input.  Import them the way ``_helpers`` is
-imported::
+both to agree on every input.  Next to them sit the exhaustive ground
+truth for tiny trees (:mod:`.bruteforce`) and the pebble-game special
+cases with known answers (:mod:`.pebble`).  Import them the way
+``_helpers`` is imported::
 
     from _oracles import solve, replay_report
     from _oracles.explore import ExploreSolver
+    from _oracles.bruteforce import optimal_min_memory
     from _oracles import sparse
 """
 

@@ -17,7 +17,7 @@ import math
 from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from .tree import Tree
+from repro.core.tree import Tree
 
 __all__ = [
     "optimal_min_memory",

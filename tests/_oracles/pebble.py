@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-from .builders import from_replacement_model, uniform_weights
-from .traversal import TOPDOWN, Traversal, TraversalError, is_topological
-from .tree import Tree
+from repro.core.builders import from_replacement_model, uniform_weights
+from repro.core.traversal import TOPDOWN, Traversal, TraversalError, is_topological
+from repro.core.tree import Tree
 
 __all__ = [
     "sethi_ullman_labels",

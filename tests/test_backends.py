@@ -1,136 +1,49 @@
 """Tests for the executor-backend seam (:mod:`repro.solvers.engine.backends`).
 
-Four concerns, mirroring the call sites that share the seam:
+Three concerns, mirroring the call sites that share the seam:
 
-* the registry is the single source of truth: names, capability flags and
-  the CLI ``--pool`` choices all agree;
 * the parity matrix: every registered algorithm (the ``auto`` portfolio and
-  ``reuse=`` incremental re-solves included) is bit-identical across the
-  ``serial``/``persistent``/``threads`` backends;
-* the engine lifecycle (stop -> reject new work -> shutdown -> re-arm);
+  ``reuse=`` incremental re-solves included) is bit-identical in-process
+  and on the persistent process engine;
+* the engine lifecycle (stop -> reject new work -> shutdown -> re-arm) and
+  the serial backend's already-completed futures;
 * the campaign planner's straggler re-splitting is an execution detail:
   exactly one record per cell, bit-identical to the serial campaign.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
-import time
 from dataclasses import replace
 
 import pytest
 
-from repro.bench.runner import run_scenarios
-from repro.bench.scenario import Scenario
+from repro.bench import run_scenarios, select_scenarios
 from repro.core.builders import chain_tree
-from repro.core.kernel import TreeKernel
-from repro.core.traversal import BOTTOMUP, Traversal
-from repro.solvers import (
-    SolveReport,
-    backend_names,
-    backend_table,
-    list_solvers,
-    register_solver,
-    solve,
-    solve_many,
-)
+from repro.faults import FaultPlan, FaultSpec
+from repro.solvers import UnknownSolverError, list_solvers, solve, solve_many
 from repro.solvers.engine import (
     EngineStoppedError,
-    ExecutorBackend,
+    PersistentBackend,
+    SerialBackend,
     SolveEngine,
-    create_backend,
-    get_backend_spec,
     shutdown_engine,
 )
-from repro.solvers.facade import POOL_MODES
+from repro.solvers.facade import _solve_task
 
-from _helpers import make_random_tree
-
-#: every registered backend
-LOCAL_POOLS = ("serial", "persistent", "threads")
+from _helpers import can_spawn_workers, make_random_tree
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _shutdown_engines():
-    # the parity matrix leaves warm per-backend default engines behind;
-    # release their workers once the module is done
+    # the parity matrix leaves the warm default engine behind; release its
+    # workers once the module is done
     yield
     shutdown_engine()
 
 
 # ----------------------------------------------------------------------
-# registry: one source of truth
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_registration_order_and_pool_modes(self):
-        assert backend_names() == ("persistent", "serial", "threads")
-        assert POOL_MODES == backend_names()
-        assert [spec.name for spec in backend_table()] == list(backend_names())
-
-    def test_capability_flags(self):
-        flags = {
-            spec.name: (spec.cls.releases_gil, spec.cls.supports_futures)
-            for spec in backend_table()
-        }
-        assert flags == {
-            # (releases_gil, supports_futures)
-            "persistent": (True, True),
-            "serial": (False, False),
-            "threads": (False, True),
-        }
-
-    def test_every_spec_has_a_summary(self):
-        for spec in backend_table():
-            assert spec.summary
-            assert issubclass(spec.cls, ExecutorBackend)
-
-    def test_unknown_backend_lists_the_registry(self):
-        with pytest.raises(ValueError, match="unknown executor backend 'bogus'"):
-            get_backend_spec("bogus")
-        with pytest.raises(ValueError, match="persistent"):
-            create_backend("bogus")
-
-    def test_solve_many_validates_pool_from_registry(self):
-        tree = chain_tree(4, f=2.0, n=1.0)
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            solve_many([tree], "minmem", pool="bogus")
-
-
-class TestCliChoices:
-    @staticmethod
-    def _pool_choices(command):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        sub = next(
-            action
-            for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
-        pool = next(
-            action
-            for action in sub.choices[command]._actions
-            if "--pool" in action.option_strings
-        )
-        return tuple(pool.choices), pool.help or ""
-
-    @pytest.mark.parametrize("command", ["solve", "bench"])
-    def test_solve_and_bench_offer_every_backend(self, command):
-        choices, help_text = self._pool_choices(command)
-        assert choices == backend_names()
-        # the help text is generated from the registry summaries
-        for spec in backend_table():
-            assert spec.name in help_text
-
-    def test_serve_offers_service_backends_only(self):
-        # every registered backend can serve the daemon
-        choices, _ = self._pool_choices("serve")
-        assert choices == backend_names()
-
-
-# ----------------------------------------------------------------------
-# parity matrix: every algorithm, every local backend
+# parity matrix: every algorithm, in-process and on the process engine
 # ----------------------------------------------------------------------
 def _parity_trees():
     rng = random.Random(20110527)
@@ -152,11 +65,8 @@ class TestBackendParity:
             solve(kern, "minmem").peak_memory for kern in kerns
         )
         expected = solve_many(kerns, algorithms, memory=budget, workers=1)
-        for pool in LOCAL_POOLS:
-            got = solve_many(
-                kerns, algorithms, memory=budget, workers=3, pool=pool
-            )
-            assert got == expected, f"pool={pool} diverged"
+        got = solve_many(kerns, algorithms, memory=budget, workers=3)
+        assert got == expected
 
     @pytest.mark.parametrize("algorithm", ["postorder", "liu"])
     def test_incremental_reuse_matches_every_backend(self, algorithm):
@@ -168,9 +78,9 @@ class TestBackendParity:
         tree.add_node(tree.size, parent=rng.randrange(tree.size), f=4.0, n=2.0)
         incremental = solve(tree, algorithm, reuse=report)
         assert incremental.extras["incremental"] in ("patched", "full")
-        for pool in LOCAL_POOLS:
+        for workers in (None, 2):
             (scratch,) = solve_many(
-                [tree.copy()], ("postorder", "liu"), workers=2, pool=pool
+                [tree.copy()], ("postorder", "liu"), workers=workers
             )
             got = scratch[algorithm]
             assert got.peak_memory == incremental.peak_memory
@@ -183,16 +93,19 @@ class TestBackendParity:
 # lifecycle: stop -> reject -> shutdown -> re-arm
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    @pytest.mark.parametrize("backend", ["threads", "serial"])
+    @pytest.mark.parametrize(
+        "backend", [PersistentBackend, SerialBackend],
+        ids=["persistent", "serial"],
+    )
     def test_stop_rejects_and_shutdown_rearms(self, backend):
         cells = [
             (chain_tree(5, f=2.0, n=1.0).kernel(), "minmem", None, {})
             for _ in range(3)
         ]
-        engine = SolveEngine(backend=backend)
+        engine = SolveEngine(backend=backend())
         try:
             first = engine.run_batch(cells, workers=2)
-            if first is None:  # serial backend: engine says "run in-process"
+            if first is None:  # the platform cannot spawn workers
                 first = [None] * len(cells)
             assert len(first) == len(cells)
 
@@ -212,26 +125,24 @@ class TestLifecycle:
         finally:
             engine.shutdown()
 
-    def test_threads_futures_and_snapshot(self):
+    def test_serial_futures_are_already_completed(self):
         kern = chain_tree(6, f=2.0, n=1.0).kernel()
-        with SolveEngine(backend="threads") as engine:
-            future = engine.submit((kern, "minmem", None, {}), workers=2)
-            report = future.result(timeout=30)
-            assert report.algorithm == "minmem"
-            chunk = engine.submit_chunk(
-                [(kern, "minmem", None, {}), (kern, "postorder", None, {})],
-                workers=2,
-            )
-            reports = chunk.result(timeout=30)
-            assert [r.algorithm for r in reports] == ["minmem", "postorder"]
-            snap = engine.snapshot()
-            assert snap["backend"] == "threads"
-            assert snap["submits"] >= 2
-            assert snap["pool"]["kind"] == "thread"
+        cells = [(kern, "minmem", None, {}), (kern, "postorder", None, {})]
+        backend = SerialBackend()
+        single = backend.submit_cell(cells[0], workers=1)
+        chunk = backend.submit_chunk(cells, workers=1)
+        assert single.done() and chunk.done()
+        assert single.result() == _solve_task(cells[0])
+        assert chunk.result() == [_solve_task(cell) for cell in cells]
+        # a solver error settles the future instead of raising at submit
+        failed = backend.submit_chunk([(kern, "nope", None, {})], workers=1)
+        assert isinstance(failed.exception(), UnknownSolverError)
 
+    @pytest.mark.skipif(not can_spawn_workers(),
+                        reason="platform cannot spawn worker processes")
     def test_engine_reset_survives(self):
         kern = chain_tree(6, f=2.0, n=1.0).kernel()
-        with SolveEngine(backend="threads") as engine:
+        with SolveEngine() as engine:
             assert engine.run_batch([(kern, "minmem", None, {})] * 2, workers=2)
             engine.reset()  # discard the pool; next call rebuilds it
             assert engine.run_batch([(kern, "minmem", None, {})] * 2, workers=2)
@@ -240,70 +151,22 @@ class TestLifecycle:
 # ----------------------------------------------------------------------
 # campaign work-splitting: straggler re-splits are an execution detail
 # ----------------------------------------------------------------------
-@pytest.fixture()
-def _sleepy_bench_solver():
-    # registered at fixture time (never at import), so parametrized tests
-    # that enumerate list_solvers() at collection never see it
-    @register_solver(
-        "bench_sleepy", family="test", summary="sleeps by size then answers"
-    )
-    def _sleepy(tree, **_ignored):
-        kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-        time.sleep(0.4 if kern.size >= 20 else 0.01)
-        root = tree.ids[0] if isinstance(tree, TreeKernel) else tree.root
-        return SolveReport(
-            algorithm="bench_sleepy",
-            peak_memory=float(kern.size),
-            traversal=Traversal((root,), BOTTOMUP),
-        )
-
-    yield
-
-
-def _straggler_campaign():
-    def builder(seed):
-        return [
-            ("fast-0", chain_tree(4, f=2.0, n=1.0)),
-            ("fast-1", chain_tree(5, f=2.0, n=1.0)),
-            ("fast-2", chain_tree(6, f=2.0, n=1.0)),
-            ("slow-0", chain_tree(24, f=2.0, n=1.0)),
-        ]
-
-    return Scenario(
-        name="straggler",
-        family="synthetic",
-        builder=builder,
-        algorithms=("bench_sleepy",),
-        budget_fractions=(),
-        summary="three quick instances and one deliberate straggler",
-    )
-
-
 class TestStragglerResplit:
-    def test_resplit_fires_and_records_stay_bit_identical(
-        self, _sleepy_bench_solver
-    ):
-        campaign = [_straggler_campaign()]
-        # saturate_factor=1.0 builds exactly `workers` units, so the slow
-        # instance shares a unit with a fast one; straggler_factor=1.2 puts
-        # the re-split threshold far below the 0.4 s sleep
-        threaded = run_scenarios(
-            campaign,
-            seed=1,
-            repeat=1,
-            validate=False,
-            workers=2,
-            pool="threads",
-            saturate_factor=1.0,
-            straggler_factor=1.2,
+    @pytest.mark.skipif(not can_spawn_workers(),
+                        reason="platform cannot spawn worker processes")
+    def test_resplit_fires_and_records_stay_bit_identical(self):
+        campaign = select_scenarios("assembly")
+        # cell 3 sleeps 0.5 s in its worker: its unit outlives the re-split
+        # threshold (4x the median unit round trip, at least 50 ms)
+        plan = FaultPlan([FaultSpec("straggler", 3, 0.5)])
+        split = run_scenarios(
+            campaign, seed=1, repeat=1, workers=2, fault_plan=plan
         )
-        serial = run_scenarios(
-            campaign, seed=1, repeat=1, validate=False, pool="serial"
-        )
+        serial = run_scenarios(campaign, seed=1, repeat=1)
 
-        assert threaded.extras["backend"] == "threads"
-        assert threaded.extras["work_units"] > 0
-        assert threaded.extras["straggler_resplits"] >= 1
+        assert split.extras["backend"] == "persistent"
+        assert split.extras["work_units"] > 0
+        assert split.extras["straggler_resplits"] >= 1
         assert serial.extras == {
             "backend": "serial",
             "work_units": 0,
@@ -313,18 +176,18 @@ class TestStragglerResplit:
 
         # exactly one record per cell, in the serial campaign's order,
         # despite the duplicate in-flight copies the re-split created
-        threaded_keys = [record.key for record in threaded.records]
-        assert threaded_keys == [record.key for record in serial.records]
-        assert len(threaded_keys) == len(set(threaded_keys))
+        split_keys = [record.key for record in split.records]
+        assert split_keys == [record.key for record in serial.records]
+        assert len(split_keys) == len(set(split_keys))
 
         stripped = [
             [replace(r, best_time=0.0, mean_time=0.0) for r in run.records]
-            for run in (threaded, serial)
+            for run in (split, serial)
         ]
         assert stripped[0] == stripped[1]
 
     def test_bad_split_factors_rejected(self):
         with pytest.raises(ValueError, match="saturate_factor"):
-            run_scenarios([_straggler_campaign()], saturate_factor=0.0)
+            run_scenarios([], saturate_factor=0.0)
         with pytest.raises(ValueError, match="straggler_factor"):
-            run_scenarios([_straggler_campaign()], straggler_factor=-1.0)
+            run_scenarios([], straggler_factor=-1.0)

@@ -231,31 +231,34 @@ class TestCampaignPlanner:
 
     @pytest.mark.parametrize("workers", (None, 2))
     def test_pool_modes_bit_identical_records(self, workers):
+        # the worker count picks the executor: in-process for None, the
+        # persistent process engine for 2; both match the serial reference
         from dataclasses import replace
 
         runs = {
-            pool: run_scenarios(
-                self._campaign(), seed=3, repeat=2, warmup=1,
-                workers=workers, pool=pool,
+            label: run_scenarios(
+                self._campaign(), seed=3, repeat=2, warmup=1, workers=w,
             )
-            for pool in ("serial", "threads", "persistent")
+            for label, w in (("serial", 1), ("run", workers))
         }
         stripped = {
-            pool: [replace(r, best_time=0.0, mean_time=0.0) for r in run.records]
-            for pool, run in runs.items()
+            label: [replace(r, best_time=0.0, mean_time=0.0) for r in run.records]
+            for label, run in runs.items()
         }
-        assert stripped["serial"] == stripped["threads"] == stripped["persistent"]
+        assert stripped["run"] == stripped["serial"]
         # record order (and therefore keys) is also identical
         keys = [r.key for r in runs["serial"].records]
-        assert [r.key for r in runs["persistent"].records] == keys
+        assert [r.key for r in runs["run"].records] == keys
         for run in runs.values():
             assert not run.replay_failures
             assert run.campaign_seconds > 0.0
-        assert runs["persistent"].pool == "persistent"
+        backend = "persistent" if workers else "serial"
+        assert runs["run"].extras["backend"] == backend
 
     def test_invalid_pool_rejected(self):
-        with pytest.raises(ValueError, match="pool mode"):
-            run_scenarios([make_scenario()], pool="bogus")
+        # the pool= knob is gone: the worker count picks the executor
+        with pytest.raises(TypeError, match="pool"):
+            run_scenarios([make_scenario()], pool="serial")
 
     def test_planned_timings_per_round(self):
         run = run_scenarios([make_scenario()], seed=0, repeat=3, warmup=1)

@@ -4,14 +4,15 @@ import math
 
 import pytest
 
-from repro.core.bruteforce import (
+from repro.core.builders import chain_tree, from_parent_list, star_tree
+from repro.core.traversal import TOPDOWN, Traversal, peak_memory
+
+from _oracles.bruteforce import (
     enumerate_topological_orders,
     optimal_min_io,
     optimal_min_memory,
     optimal_postorder_memory,
 )
-from repro.core.builders import chain_tree, from_parent_list, star_tree
-from repro.core.traversal import TOPDOWN, Traversal, peak_memory
 
 
 class TestOptimalMinMemory:

@@ -42,6 +42,18 @@ class TestParser:
         assert exc.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "x.json"], ["bench", "--list"], ["serve", "--stdio"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_pool_flag_is_gone(self, argv, capsys):
+        # --workers picks the executor; the old --pool flag is refused
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--pool", "serial"])
+        assert exc.value.code == 2
+        assert "--pool" in capsys.readouterr().err
+
 
 class TestMinMemCommand:
     def test_prints_all_algorithms(self, tree_file, capsys):
@@ -172,13 +184,39 @@ class TestServeCommand:
             json.dumps({"op": "stats"}),
         ]) + "\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        assert main(["serve", "--stdio"]) == 0
         captured = capsys.readouterr()
         docs = [json.loads(line) for line in captured.out.strip().splitlines()]
         by_kind = {("stats" if "op" in d else d.get("id")): d for d in docs}
         assert by_kind["a"]["status"] == "ok"
         assert by_kind["stats"]["stats"]["accepted"] == 1
         assert "served 1 requests" in captured.err
+
+    def test_stdio_refuses_the_fault_hook_and_keeps_serving(
+        self, monkeypatch, capsys
+    ):
+        import io
+
+        tree = {"parents": [-1, 0, 0], "f": [0, 2, 3]}
+        fault = {"kind": "transient", "at": 0, "delay": 0.0}
+        lines = "".join(json.dumps(doc) + "\n" for doc in (
+            {"id": "f", "tree": tree, "options": {"_fault": fault}},
+            {"id": "b", "tree": tree},
+        ))
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["serve", "--stdio"]) == 0
+        docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        by_id = {doc["id"]: doc for doc in docs}
+        assert by_id["f"]["status"] == "bad_request"
+        assert "_fault" in by_id["f"]["error"]["message"]
+        assert by_id["b"]["status"] == "ok"
+
+    def test_fault_plan_needs_workers(self, monkeypatch, capsys):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["serve", "--stdio", "--faults", "broken_pool@0"]) == 2
+        assert "workers > 1" in capsys.readouterr().err
 
     def test_stdio_daemon_with_workers_answers_while_stdin_is_open(self):
         # the pool forks its workers on the first request, while the reader
@@ -253,7 +291,7 @@ class TestServeCommand:
             for name in ("postorder", "liu", "auto", "minmem")
         )
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        assert main(["serve", "--stdio"]) == 0
         docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(docs) == 4
         for doc in docs:
@@ -278,7 +316,7 @@ class TestServeCommand:
         ]
         lines = "".join(json.dumps(doc) + "\n" for doc in requests)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["serve", "--stdio", "--pool", "serial"]) == 0
+        assert main(["serve", "--stdio"]) == 0
         out = capsys.readouterr().out.splitlines()
         docs = [json.loads(line, parse_constant=reject) for line in out]
         assert len(docs) == len(requests)
@@ -299,9 +337,15 @@ class TestTrafficBenchCommand:
         assert main(["bench", "--traffic", "--filter", "zzz"]) == 2
         assert "no traffic scenario" in capsys.readouterr().err
 
+    def test_fault_plan_rejected(self, capsys):
+        # traffic runs never pass a plan on; it must not be dropped silently
+        assert main(["bench", "--traffic", "--smoke",
+                     "--faults", "kill@0,transient@1"]) == 2
+        assert "--faults" in capsys.readouterr().err
+
     def test_smoke_traffic_run_and_artifact(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_traffic.json"
-        assert main(["bench", "--traffic", "--smoke", "--pool", "serial",
+        assert main(["bench", "--traffic", "--smoke",
                      "--output", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "scenario/cell" in out

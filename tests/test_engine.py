@@ -17,7 +17,7 @@ from repro.solvers import (
     shutdown_engine,
     solve_many,
 )
-from repro.solvers.engine import SolveEngine, TreeArena, resolve
+from repro.solvers.engine import PersistentBackend, SolveEngine, TreeArena, resolve
 from repro.solvers.engine.dispatch import _compute_chunksize
 from repro.solvers.engine.pool import PersistentPool
 from repro.solvers.facade import _solve_task
@@ -47,7 +47,7 @@ def _engine_teardown():
 
 
 class TestEquivalence:
-    """serial vs threads vs persistent engine: bit-identical reports."""
+    """In-process vs persistent engine: bit-identical reports."""
 
     @pytest.mark.parametrize("algorithm", list_solvers())
     def test_every_algorithm_matches_serial(self, algorithm):
@@ -60,17 +60,16 @@ class TestEquivalence:
     def test_pool_modes_identical_multi_algorithm(self):
         trees = _sample_trees()
         algorithms = ("postorder", "liu", "minmem")
-        serial = solve_many(trees, algorithms, workers=2, pool="serial")
-        threads = solve_many(trees, algorithms, workers=2, pool="threads")
-        persistent = solve_many(trees, algorithms, workers=2, pool="persistent")
-        assert serial == threads == persistent
+        serial = solve_many(trees, algorithms, workers=1)
+        persistent = solve_many(trees, algorithms, workers=2)
+        assert serial == persistent
 
     def test_shared_arena_vs_blob_transport(self):
         trees = _sample_trees()
         cells = [(t, "minmem", None, {}) for t in trees]
         serial = [_solve_task(c) for c in cells]
-        shm_engine = SolveEngine(use_shared_memory=True)
-        blob_engine = SolveEngine(use_shared_memory=False)
+        shm_engine = SolveEngine(backend=PersistentBackend(use_shared_memory=True))
+        blob_engine = SolveEngine(backend=PersistentBackend(use_shared_memory=False))
         try:
             via_shm = shm_engine.run_batch(cells, workers=2)
             via_blob = blob_engine.run_batch(cells, workers=2)
@@ -81,10 +80,6 @@ class TestEquivalence:
             pytest.skip("platform cannot spawn worker processes")
         assert via_shm == serial
         assert via_blob == serial
-
-    def test_invalid_pool_mode_rejected(self):
-        with pytest.raises(ValueError, match="pool mode"):
-            solve_many([chain_tree(3)], "minmem", pool="bogus")
 
 
 class TestPersistence:
@@ -170,7 +165,7 @@ class TestArenaTransport:
     def test_segments_cleaned_on_shutdown(self):
         from multiprocessing import shared_memory
 
-        engine = SolveEngine(use_shared_memory=True)
+        engine = SolveEngine(backend=PersistentBackend(use_shared_memory=True))
         trees = _sample_trees()
         result = engine.run_batch([(t, "postorder", None, {}) for t in trees], 2)
         names = engine.arena.live_segments
@@ -240,7 +235,6 @@ class TestFallbacks:
                 trees,
                 "minmem",
                 workers=2,
-                pool="persistent",
                 probe=_UNPICKLABLE,  # -> PicklingError in the pool
             )
         # the serial fallback still produced correct reports (the unknown
@@ -447,7 +441,7 @@ class TestEngineObservability:
         snap = pool.snapshot()
         assert snap == {
             "workers": 0, "alive": False, "unavailable": False,
-            "creations": 0, "grows": 0, "resets": 0, "kind": "process",
+            "creations": 0, "grows": 0, "resets": 0,
         }
         executor = pool.ensure(2)
         try:

@@ -27,8 +27,8 @@ from typing import List, Tuple
 import pytest
 
 import _oracles
+from _oracles.bruteforce import optimal_min_memory, optimal_postorder_memory
 from _oracles.explore import ExploreSolver
-from repro.core.bruteforce import optimal_min_memory, optimal_postorder_memory
 from repro.core.kernel import KernelExploreSolver
 from repro.core.liu import flatten_nodes
 from repro.core.tree import Tree

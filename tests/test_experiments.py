@@ -4,7 +4,11 @@ import math
 
 import pytest
 
-from repro.analysis.datasets import TreeInstance, assembly_tree_dataset
+from repro.analysis.datasets import (
+    TreeInstance,
+    assembly_tree_dataset,
+    random_tree_dataset,
+)
 from repro.analysis.experiments import (
     MINMEMORY_ALGORITHMS,
     run_harpoon_ablation,
@@ -74,6 +78,15 @@ class TestMinMemoryComparison:
         rows = run_minmemory_comparison(harpoon_instances).rows()
         assert len(rows) == 3
         assert all(row["ratio"] >= 1.0 for row in rows)
+
+    def test_random_trees_harder_than_assembly(self):
+        """Section VI-E: PostOrder misses the optimum more often on the
+        randomly reweighted trees than on the assembly trees they reuse."""
+        assembly = assembly_tree_dataset("tiny")
+        reweighted = random_tree_dataset("tiny", seed=0, assembly_instances=assembly)
+        assembly_stats = run_minmemory_comparison(assembly).statistics()
+        random_stats = run_minmemory_comparison(reweighted).statistics()
+        assert random_stats.non_optimal_fraction >= assembly_stats.non_optimal_fraction
 
 
 class TestRuntimeComparison:

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core.bruteforce import optimal_min_memory
 from repro.core.builders import chain_tree, from_parent_list, star_tree
 from repro.core.liu import flatten_nodes, liu_min_memory
 from repro.core.minmem import min_mem, min_memory
@@ -13,6 +12,7 @@ from repro.core.traversal import TOPDOWN, check_in_core, is_topological, peak_me
 from repro.generators.harpoon import harpoon_tree, iterated_harpoon_tree
 
 from _helpers import make_random_tree
+from _oracles.bruteforce import optimal_min_memory
 from _oracles.explore import ExploreSolver
 
 

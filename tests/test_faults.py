@@ -6,9 +6,10 @@ Three tiers, mirroring the package:
 * injector semantics (position bookkeeping, re-submission immunity,
   worker-kill degradation, submit-side delivery);
 * end-to-end chaos campaigns through ``bench.run_scenarios`` -- seeded
-  faults on the threads and persistent pools, checkpoint/resume -- whose
-  acceptance criterion is always the same: exactly one record per cell,
-  bit-identical to the fault-free run, counters matching the injected plan.
+  faults in-process and on the persistent engine, checkpoint/resume --
+  whose acceptance criterion is always the same: exactly one record per
+  cell, bit-identical to the fault-free run, counters matching the
+  injected plan.
 """
 
 import pickle
@@ -34,16 +35,16 @@ from repro.faults import (
     parse_faults,
 )
 from repro.faults.injector import FAULT_OPTION_KEY
-from repro.solvers.engine.backends import ExecutorUnavailable, create_backend
+from repro.solvers.engine import SolveEngine
+from repro.solvers.engine.backends import (
+    ExecutorUnavailable,
+    PersistentBackend,
+    SerialBackend,
+)
 from repro.solvers.engine.pool import PersistentPool
+from repro.solvers.facade import _solve_task
 
-
-def _can_spawn_workers() -> bool:
-    pool = PersistentPool()
-    try:
-        return pool.ensure(2) is not None
-    finally:
-        pool.shutdown()
+from _helpers import can_spawn_workers
 
 
 def _stable(record):
@@ -207,7 +208,7 @@ class TestFaultyBackend:
 
     def test_worker_fault_rides_in_options_and_solves(self):
         plan = FaultPlan([FaultSpec("straggler", 1, 0.0)])
-        backend = FaultyBackend(create_backend("serial"), plan)
+        backend = FaultyBackend(SerialBackend(), plan)
         cells = self._cells(3)
         reports = backend.map_cells(cells, workers=1)
         assert len(reports) == 3
@@ -218,7 +219,7 @@ class TestFaultyBackend:
 
     def test_resubmission_neither_advances_nor_refires(self):
         plan = FaultPlan([FaultSpec("transient", 0)])
-        backend = FaultyBackend(create_backend("serial"), plan)
+        backend = FaultyBackend(SerialBackend(), plan)
         cells = self._cells(2)
         with pytest.raises(TransientSolverError):
             backend.map_cells(cells, workers=1)
@@ -232,7 +233,7 @@ class TestFaultyBackend:
 
     def test_worker_kill_degrades_on_in_process_backends(self):
         plan = FaultPlan([FaultSpec("worker_kill", 0)])
-        backend = FaultyBackend(create_backend("serial"), plan)
+        backend = FaultyBackend(SerialBackend(), plan)
         # an in-process backend cannot lose a worker: the kill becomes a
         # transient solver error instead of os._exit
         with pytest.raises(TransientSolverError):
@@ -244,7 +245,7 @@ class TestFaultyBackend:
             FaultSpec("pickling", 0), FaultSpec("shm", 1),
             FaultSpec("broken_pool", 2),
         ])
-        backend = FaultyBackend(create_backend("threads"), plan)
+        backend = FaultyBackend(SerialBackend(), plan)
         cells = self._cells(3)
         failed = backend.submit_cell(cells[0], workers=1)
         assert isinstance(failed, Future)
@@ -259,10 +260,10 @@ class TestFaultyBackend:
         backend.shutdown()
 
     def test_mirrors_inner_identity(self):
-        backend = FaultyBackend(create_backend("threads"), FaultPlan())
+        backend = FaultyBackend(PersistentBackend(), FaultPlan())
         inner = backend.inner
-        assert (backend.name, backend.releases_gil, backend.supports_futures) == (
-            inner.name, inner.releases_gil, inner.supports_futures
+        assert (backend.name, backend.releases_gil) == (
+            inner.name, inner.releases_gil
         )
         backend.shutdown()
 
@@ -276,13 +277,14 @@ class TestChaosCampaigns:
     def _baseline(self):
         return run_scenarios(self.SCENARIOS, seed=0, repeat=1)
 
-    def test_threads_campaign_bit_identical_under_chaos(self):
+    def test_serial_campaign_bit_identical_under_chaos(self):
+        # without workers the plan wraps the in-process backend, whose
+        # completed futures run through the same work-unit loop
         baseline = self._baseline()
         plan = FaultPlan.seeded(7, 40, transient=2, straggler=1,
                                 straggler_delay=0.01)
         chaotic = run_scenarios(
-            self.SCENARIOS, seed=0, repeat=1, workers=2, pool="threads",
-            fault_plan=plan,
+            self.SCENARIOS, seed=0, repeat=1, fault_plan=plan,
         )
         assert [_stable(r) for r in chaotic.records] == [
             _stable(r) for r in baseline.records
@@ -290,16 +292,17 @@ class TestChaosCampaigns:
         faults = chaotic.extras["faults"]
         assert faults["injected"] == plan.counts()
         assert faults["plan"] == plan.describe()
-        assert chaotic.extras["unit_retries"] >= 2  # both transients retried
+        assert chaotic.extras["backend"] == "serial"
+        assert chaotic.extras["work_units"] > 0
+        assert chaotic.extras["unit_retries"] == 2  # both transients retried
 
-    @pytest.mark.skipif(not _can_spawn_workers(),
+    @pytest.mark.skipif(not can_spawn_workers(),
                         reason="platform cannot spawn worker processes")
     def test_persistent_campaign_survives_worker_kill(self):
         baseline = self._baseline()
         plan = FaultPlan.seeded(11, 40, worker_kill=1, transient=1)
         chaotic = run_scenarios(
-            self.SCENARIOS, seed=0, repeat=1, workers=2, pool="persistent",
-            fault_plan=plan,
+            self.SCENARIOS, seed=0, repeat=1, workers=2, fault_plan=plan,
         )
         assert [_stable(r) for r in chaotic.records] == [
             _stable(r) for r in baseline.records
@@ -315,8 +318,7 @@ class TestChaosCampaigns:
         plan = FaultPlan([FaultSpec("shm", 0)])
         with pytest.warns(RuntimeWarning) as caught:
             chaotic = run_scenarios(
-                self.SCENARIOS, seed=0, repeat=1, workers=2, pool="threads",
-                fault_plan=plan,
+                self.SCENARIOS, seed=0, repeat=1, fault_plan=plan,
             )
         unavailable = [w for w in caught
                        if "warned once per engine" in str(w.message)]
@@ -334,14 +336,9 @@ class TestEngineDegradation:
     def _cells(self, n):
         return [(chain_tree(4 + i), "minmem", None, {}) for i in range(n)]
 
-    def test_threads_backend_warns_once_then_stays_silent(self):
-        from repro.solvers.engine import SolveEngine
-        from repro.solvers.facade import _solve_task
-
+    def test_serial_backend_warns_once_then_stays_silent(self):
         plan = FaultPlan([FaultSpec("shm", 0), FaultSpec("shm", 2)])
-        engine = SolveEngine(
-            backend=FaultyBackend(create_backend("threads"), plan)
-        )
+        engine = SolveEngine(backend=FaultyBackend(SerialBackend(), plan))
         try:
             cells = self._cells(6)
             with pytest.warns(RuntimeWarning, match="warned once per engine"):
@@ -361,13 +358,8 @@ class TestEngineDegradation:
             engine.shutdown()
 
     def test_run_batch_retries_transient_faults(self):
-        from repro.solvers.engine import SolveEngine
-        from repro.solvers.facade import _solve_task
-
         plan = FaultPlan([FaultSpec("transient", 1)])
-        engine = SolveEngine(
-            backend=FaultyBackend(create_backend("threads"), plan)
-        )
+        engine = SolveEngine(backend=FaultyBackend(SerialBackend(), plan))
         try:
             cells = self._cells(3)
             reports = engine.run_batch(cells, 2)

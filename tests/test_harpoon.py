@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from repro.core.bruteforce import optimal_min_io
 from repro.core.liu import liu_min_memory
-from repro.core.minio import run_out_of_core
+from repro.core.minio import HEURISTICS, run_out_of_core
 from repro.core.minmem import min_mem
 from repro.core.postorder import best_postorder
 from repro.generators.harpoon import (
@@ -17,6 +16,8 @@ from repro.generators.harpoon import (
     postorder_vs_optimal_ratio_bound,
     two_partition_harpoon,
 )
+
+from _oracles.bruteforce import optimal_min_io
 
 
 class TestTheorem1:
@@ -89,15 +90,21 @@ class TestTheorem2:
         assert opt_io > total / 2 + 1e-9
 
     def test_heuristics_upper_bound_optimum(self):
-        values = [2, 3, 5, 4]
-        total = sum(values)
-        t = two_partition_harpoon(values)
-        memory = 2 * total
-        opt_io = optimal_min_io(t, memory)
-        trav = min_mem(t).traversal
-        for heuristic in ("first_fit", "best_fit", "lsnf", "best_k_combination"):
-            io = run_out_of_core(t, memory, trav, heuristic).io_volume
-            assert io >= opt_io - 1e-9
+        """At M = 2S the optimum respects the S/2 threshold of the
+        reduction, and every eviction heuristic is an upper bound on it."""
+        for values in (
+            [2, 3, 5, 4], [1, 1, 2, 2], [3, 1, 1, 2, 1], [1, 1, 1],
+            [1, 2, 4, 8], [2, 3, 5, 4, 6],
+        ):
+            total = sum(values)
+            t = two_partition_harpoon(values)
+            memory = 2 * total
+            opt_io = optimal_min_io(t, memory)
+            assert opt_io >= total / 2 - 1e-9
+            trav = min_mem(t).traversal
+            for heuristic in HEURISTICS:
+                io = run_out_of_core(t, memory, trav, heuristic).io_volume
+                assert io >= opt_io - 1e-9, (values, heuristic)
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):

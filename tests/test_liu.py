@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bruteforce import optimal_min_memory
 from repro.core.builders import chain_tree, from_parent_list, star_tree
 from repro.core.liu import flatten_nodes, liu_min_memory, liu_optimal_traversal
 from repro.core.postorder import best_postorder
@@ -10,6 +9,7 @@ from repro.core.traversal import check_in_core, is_topological, peak_memory
 from repro.generators.harpoon import harpoon_tree, optimal_memory_bound
 
 from _helpers import make_random_tree
+from _oracles.bruteforce import optimal_min_memory
 
 
 class TestBasics:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.bruteforce import optimal_min_io
 from repro.core.builders import from_parent_list, star_tree
 from repro.core.liu import liu_min_memory
 from repro.core.minio import (
@@ -17,6 +16,7 @@ from repro.core.postorder import best_postorder
 from repro.core.traversal import check_out_of_core
 
 from _helpers import make_random_tree
+from _oracles.bruteforce import optimal_min_io
 
 
 def tight_tree():

@@ -11,6 +11,7 @@ from repro.core.traversal import BOTTOMUP, Traversal, peak_memory
 from repro.sparse.etree import elimination_tree, etree_postorder
 from repro.sparse.matrices import banded_spd, grid_laplacian_2d, random_spd
 from repro.sparse.multifrontal import frontal_memory_tree, multifrontal_cholesky
+from repro.sparse.ordering import apply_ordering, minimum_degree_ordering, rcm_ordering
 
 
 def factorization_error(matrix, factor):
@@ -83,6 +84,29 @@ class TestMemoryAccounting:
         peak_postorder = multifrontal_cholesky(a, postorder.traversal).peak_memory
         assert peak_optimal <= peak_postorder + 1e-9
         assert peak_optimal == pytest.approx(optimal.memory)
+
+    def test_engine_matches_model_on_ordered_matrices(self):
+        """Under both the best postorder and the optimal traversal, the
+        engine's peak is the task-tree model's, optimal never loses, and
+        the factor stays exact -- on fill-reducing orderings too."""
+        def ordered(matrix, ordering):
+            return apply_ordering(matrix, ordering(matrix))
+
+        for matrix in (
+            grid_laplacian_2d(12),
+            ordered(grid_laplacian_2d(12), minimum_degree_ordering),
+            ordered(banded_spd(200, 4, seed=3), rcm_ordering),
+            ordered(random_spd(120, 0.05, seed=7), minimum_degree_ordering),
+        ):
+            tree = frontal_memory_tree(matrix)
+            postorder = best_postorder(tree)
+            optimal = liu_optimal_traversal(tree)
+            engine_po = multifrontal_cholesky(matrix, postorder.traversal)
+            engine_opt = multifrontal_cholesky(matrix, optimal.traversal)
+            assert engine_po.peak_memory == pytest.approx(postorder.memory)
+            assert engine_opt.peak_memory == pytest.approx(optimal.memory)
+            assert engine_opt.peak_memory <= engine_po.peak_memory + 1e-9
+            assert factorization_error(matrix, engine_opt.factor) < 1e-8
 
     def test_cb_volume_independent_of_traversal(self):
         a = grid_laplacian_2d(6)

@@ -4,16 +4,17 @@ import pytest
 
 from repro.core.builders import chain_tree, uniform_weights
 from repro.core.liu import liu_min_memory
-from repro.core.pebble import (
+from repro.core.postorder import best_postorder
+from repro.core.minio import run_out_of_core
+from repro.core.minmem import min_mem
+from repro.generators.synthetic import full_binary_expression_tree
+
+from _oracles.pebble import (
     belady_io_volume,
     sethi_ullman_labels,
     sethi_ullman_number,
     unit_replacement_tree,
 )
-from repro.core.postorder import best_postorder
-from repro.core.minio import run_out_of_core
-from repro.core.minmem import min_mem
-from repro.generators.synthetic import full_binary_expression_tree
 
 
 class TestSethiUllman:

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from repro.core.bruteforce import optimal_postorder_memory
 from repro.core.builders import chain_tree, from_parent_list, star_tree
 from repro.core.postorder import POSTORDER_RULES, best_postorder, postorder_with_rule
 from repro.core.traversal import is_postorder, peak_memory
 from repro.generators.harpoon import harpoon_tree, postorder_memory_bound
 
 from _helpers import make_random_tree
+from _oracles.bruteforce import optimal_postorder_memory
 
 
 class TestSmallInstances:

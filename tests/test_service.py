@@ -27,6 +27,8 @@ from repro.service import (
 )
 from repro.service.errors import SolverFailedError
 
+from _helpers import can_spawn_workers
+
 
 def run(coro):
     """Drive one async test body (the suite has no asyncio plugin)."""
@@ -111,6 +113,9 @@ class TestProtocol:
         ({"tree": {"parents": [-1, 0, 0], "f": [0, float("nan"), 9]}}, "non-finite"),
         ({"tree": {"parents": [-1, 0, 0], "f": [0, -5, 9]}}, "negative file size"),
         ({"tree": {"parents": [2, 2, -1], "f": [-5, 9, 0]}}, "negative file size"),
+        # the fault-injection hook trips in the solver dispatch: a request
+        # carrying it could kill the daemon's process or stall a solver
+        ({"tree": PARENTS, "options": {"_fault": {"kind": "worker_kill"}}}, "reserved"),
     ])
     def test_parse_request_rejects_malformed(self, doc, match):
         with pytest.raises(BadRequestError, match=match):
@@ -160,7 +165,7 @@ class TestProtocol:
 class TestDaemon:
     def test_ok_path_matches_direct_solve(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 response = await svc.handle(
                     {"tree": PARENTS, "algorithm": "minmem"}
                 )
@@ -179,7 +184,7 @@ class TestDaemon:
 
     def test_token_reuse_and_report_modes(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 full = await svc.handle({"tree": PARENTS, "report": "full"})
                 token = full.tree_token
                 summary = await svc.handle(
@@ -201,13 +206,22 @@ class TestDaemon:
         assert snap["interner_hits"] == 2
 
     def test_unknown_service_pool_mode_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="fresh"):
-            SolverService(pool="fresh")
+        # the worker count picks the executor; the old pool= knob is gone
+        with pytest.raises(TypeError, match="pool"):
+            SolverService(pool="serial")
+
+    def test_fault_plan_without_engine_rejected(self):
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec("broken_pool", 0)])
+        # without workers there is no engine backend for the plan to fault
+        with pytest.raises(ValueError, match="workers > 1"):
+            SolverService(fault_plan=plan)
 
     def test_queue_full_rejects_synchronously(self):
         async def body():
             async with SolverService(
-                pool="serial", max_pending=2, max_inflight=1
+                max_pending=2, max_inflight=1
             ) as svc:
                 interner = svc.interner
                 doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
@@ -232,7 +246,7 @@ class TestDaemon:
     def test_queue_full_under_concurrent_submitters(self):
         async def body():
             async with SolverService(
-                pool="serial", max_pending=3, max_inflight=1
+                max_pending=3, max_inflight=1
             ) as svc:
                 doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
                        "options": {"seconds": 0.05}}
@@ -250,7 +264,7 @@ class TestDaemon:
 
     def test_deadline_expires_while_queued(self):
         async def body():
-            async with SolverService(pool="serial", max_inflight=1) as svc:
+            async with SolverService(max_inflight=1) as svc:
                 interner = svc.interner
                 blocker = svc.submit_nowait(parse_request(
                     {"tree": PARENTS, "algorithm": "svc_sleepy",
@@ -274,7 +288,7 @@ class TestDaemon:
 
     def test_deadline_expires_while_executing(self):
         async def body():
-            async with SolverService(pool="serial", max_inflight=1) as svc:
+            async with SolverService(max_inflight=1) as svc:
                 t0 = time.perf_counter()
                 response = await svc.handle(
                     {"tree": PARENTS, "algorithm": "svc_sleepy",
@@ -293,7 +307,7 @@ class TestDaemon:
 
     def test_close_drains_admitted_requests(self):
         async def body():
-            svc = await SolverService(pool="serial", max_inflight=1).start()
+            svc = await SolverService(max_inflight=1).start()
             futures = [
                 svc.submit_nowait(parse_request({"tree": PARENTS}, svc.interner))
                 for _ in range(4)
@@ -311,7 +325,7 @@ class TestDaemon:
 
     def test_close_abort_flushes_queue_with_typed_responses(self):
         async def body():
-            svc = await SolverService(pool="serial", max_inflight=1).start()
+            svc = await SolverService(max_inflight=1).start()
             doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
                    "options": {"seconds": 0.1}}
             futures = [
@@ -329,7 +343,7 @@ class TestDaemon:
 
     def test_solver_failure_is_a_typed_response(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 response = await svc.handle(
                     {"tree": PARENTS, "algorithm": "svc_sleepy",
                      "options": {"seconds": "not-a-number"}}
@@ -342,7 +356,7 @@ class TestDaemon:
 
     def test_engine_backed_service_matches_serial_and_shuts_down(self):
         async def body():
-            svc = SolverService(workers=2, pool="persistent")
+            svc = SolverService(workers=2)
             async with svc:
                 assert svc._engine is not None
                 responses = await asyncio.gather(*(
@@ -364,7 +378,7 @@ class TestDaemon:
 
     def test_stats_snapshot_shape(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 await svc.handle({"tree": PARENTS})
                 return svc.snapshot()
 
@@ -395,7 +409,7 @@ class TestStdioFrontEnd:
             async def write_line(text):
                 out.append(json.loads(text))
 
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 snapshot = await serve_stdio(svc, read_line, write_line)
             return out, snapshot
 
@@ -455,7 +469,7 @@ class TestHttpFrontEnd:
 
     def test_routes_and_status_mapping(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 server = await start_http_server(svc, port=0)
                 host, port = server.sockets[0].getsockname()[:2]
                 results = {}
@@ -484,7 +498,7 @@ class TestHttpFrontEnd:
 
     def test_keep_alive_serves_sequential_requests(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 server = await start_http_server(svc, port=0)
                 host, port = server.sockets[0].getsockname()[:2]
                 reader, writer = await asyncio.open_connection(host, port)
@@ -540,7 +554,7 @@ class TestObservability:
         from repro.obs import REQUEST_STAGES
 
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 return await svc.handle({"id": "t1", "tree": PARENTS})
 
         response = run(body())
@@ -554,7 +568,7 @@ class TestObservability:
 
     def test_deadline_response_still_reports_stages(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 return await svc.handle({
                     "id": "d1", "tree": PARENTS, "algorithm": "svc_sleepy",
                     "deadline": 0.05, "options": {"seconds": 0.5},
@@ -569,7 +583,7 @@ class TestObservability:
         from repro.obs import parse_exposition
 
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 await svc.handle({"id": "m1", "tree": PARENTS})
                 await svc.handle({"id": "m2", "tree": {"parents": []}})
                 return svc.render_metrics(), svc.snapshot()
@@ -590,7 +604,7 @@ class TestObservability:
         from repro.obs import parse_exposition
 
         async def body():
-            svc = SolverService(workers=2, pool="persistent")
+            svc = SolverService(workers=2)
             async with svc:
                 await svc.handle({"id": "e1", "tree": PARENTS})
                 return svc.render_metrics(), svc.snapshot()
@@ -605,7 +619,7 @@ class TestObservability:
         from repro.obs import parse_exposition
 
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 server = await start_http_server(svc, port=0)
                 host, port = server.sockets[0].getsockname()[:2]
                 await self._post_solve(host, port)
@@ -663,7 +677,7 @@ class TestObservability:
             async def write_line(text):
                 out.append(json.loads(text))
 
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 await serve_stdio(svc, read_line, write_line)
             return out
 
@@ -688,7 +702,7 @@ class TestObservability:
         configure_logging("info", stream=stream)
         try:
             async def body():
-                async with SolverService(pool="serial") as svc:
+                async with SolverService() as svc:
                     server = await start_http_server(svc, port=0)
                     port = server.sockets[0].getsockname()[1]
                     server.close()
@@ -712,7 +726,7 @@ class TestObservability:
 # ----------------------------------------------------------------------
 class TestResilience:
     def _chaos_service(self, *, threshold=2, cooldown=10.0, faults=2, **kw):
-        """A threads-engine service whose first ``faults`` cells hit an
+        """A process-engine service whose first ``faults`` cells hit an
         injected BrokenProcessPool, driving a stepped-clock breaker."""
         from repro.faults import CircuitBreaker, FaultPlan, FaultSpec
 
@@ -724,8 +738,7 @@ class TestResilience:
         plan = FaultPlan(
             [FaultSpec("broken_pool", i) for i in range(faults)]
         )
-        svc = SolverService(workers=2, pool="threads", breaker=breaker,
-                            fault_plan=plan, **kw)
+        svc = SolverService(workers=2, breaker=breaker, fault_plan=plan, **kw)
         return svc, breaker, clock
 
     def test_breaker_opens_rejects_and_recovers_end_to_end(self):
@@ -773,38 +786,20 @@ class TestResilience:
 
         run(body())
 
-    def test_responses_record_the_degradation_ladder(self):
+    @pytest.mark.skipif(not can_spawn_workers(),
+                        reason="platform cannot spawn worker processes")
+    def test_degraded_flag_set_below_the_engine_tier(self):
         async def body():
             svc, _, _ = self._chaos_service(threshold=10, faults=1)
             async with svc:
                 degraded = await svc.handle({"tree": PARENTS, "id": "a"})
                 healthy = await svc.handle({"tree": PARENTS, "id": "b"})
-            # the broken-pool request answered from the thread fallback;
-            # the next one from the engine tier again
-            assert degraded.extras["tier"] == "threads"
-            assert healthy.extras["tier"] == "threads"
-            assert "degraded" not in healthy.extras
-            # the wire form carries the extras block only when present
-            assert degraded.to_dict()["extras"]["tier"] == "threads"
-
-        run(body())
-
-    @pytest.mark.skipif(
-        __import__("repro.solvers.engine.pool", fromlist=["PersistentPool"])
-        .PersistentPool().ensure(2) is None,
-        reason="platform cannot spawn worker processes",
-    )
-    def test_degraded_flag_set_below_the_engine_tier(self):
-        from repro.faults import FaultPlan, FaultSpec
-
-        async def body():
-            plan = FaultPlan([FaultSpec("broken_pool", 0)])
-            svc = SolverService(workers=2, pool="persistent", fault_plan=plan)
-            async with svc:
-                degraded = await svc.handle({"tree": PARENTS, "id": "a"})
-                healthy = await svc.handle({"tree": PARENTS, "id": "b"})
+            # the broken-pool request answered from the thread fallback,
+            # one rung below the engine; the next one from the engine again
             assert degraded.extras == {"tier": "threads", "degraded": True}
             assert healthy.extras == {"tier": "persistent"}
+            # the wire form carries the extras block
+            assert degraded.to_dict()["extras"] == degraded.extras
 
         run(body())
 
@@ -813,7 +808,7 @@ class TestResilience:
         # executing tasks' coroutines without settling their futures or
         # cancelling their deadline timers
         async def body():
-            svc = await SolverService(pool="serial", max_inflight=4).start()
+            svc = await SolverService(max_inflight=4).start()
             doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
                    "options": {"seconds": 5.0}, "deadline": 30.0}
             futures = [
@@ -834,7 +829,7 @@ class TestResilience:
 
     def test_graceful_close_also_leaves_no_timers(self):
         async def body():
-            async with SolverService(pool="serial") as svc:
+            async with SolverService() as svc:
                 doc = {"tree": PARENTS, "deadline": 30.0}
                 response = await svc.handle(doc)
                 assert response.ok

@@ -269,17 +269,11 @@ class TestSolveMany:
         assert reports["minmem"].extras["reuse_states"] is False
 
     def test_pool_typo_rejected_eagerly(self, tree):
-        # the reserved pool= option must fail fast on unknown strings --
-        # before any solving -- not silently fall back to some default
-        with pytest.raises(ValueError, match="persistant"):
-            solve_many([tree], "minmem", pool="persistant")
-        with pytest.raises(ValueError, match="expected one of"):
-            solve_many([tree], "minmem", workers=2, pool="thread")
-
-    def test_pool_accepts_known_modes(self, tree):
-        for mode in ("persistent", "serial", "threads"):
-            (reports,) = solve_many([tree], "minmem", pool=mode)
-            assert reports["minmem"] == solve(tree, "minmem")
+        # pool= no longer picks the executor (workers does); lenient
+        # dispatch must not drop it silently, whatever the value
+        for mode in ("persistent", "serial", "threads", "persistant"):
+            with pytest.raises(TypeError, match="pool"):
+                solve_many([tree], "minmem", workers=2, pool=mode)
 
 
 class TestCompare:

@@ -126,7 +126,7 @@ class TestSchedulesAndStreams:
 class TestRunner:
     def test_inproc_run_produces_artifact_ready_records(self, tmp_path):
         run = run_traffic_scenarios(
-            [_tiny_scenario()], seed=0, pool="serial", transport="inproc"
+            [_tiny_scenario()], seed=0, transport="inproc"
         )
         assert len(run.records) == 1
         record = run.records[0]
@@ -148,7 +148,7 @@ class TestRunner:
 
     def test_stdio_transport_equivalent_counts(self):
         run = run_traffic_scenarios(
-            [_tiny_scenario()], seed=0, pool="serial", transport="stdio"
+            [_tiny_scenario()], seed=0, transport="stdio"
         )
         e = run.records[0].extras
         assert e["transport"] == "stdio"
@@ -159,7 +159,7 @@ class TestRunner:
             TrafficCell(name="closed-c3", arrival="closed", requests=9,
                         concurrency=3),
         ))
-        run = run_traffic_scenarios([scenario], pool="serial")
+        run = run_traffic_scenarios([scenario])
         e = run.records[0].extras
         assert e["arrival"] == "closed"
         assert e["offered_rate"] is None
@@ -175,7 +175,7 @@ class TestRunner:
             cells=(TrafficCell(name="overload", arrival="burst", requests=12,
                                rate=2000.0, burst_size=12),),
         )
-        run = run_traffic_scenarios([scenario], pool="serial", max_pending=2)
+        run = run_traffic_scenarios([scenario], max_pending=2)
         e = run.records[0].extras
         assert e["completed"] + e["rejected"] == 12
         assert e["rejected"] >= 8  # bound 2 + a burst of 12 back-to-back
@@ -210,8 +210,10 @@ class TestOpenLoopTiming:
 
 
 class TestPoolValidationRegression:
-    """Eager pool= validation stays eager (satellite lock-in)."""
+    """The removed pool= knob fails loudly instead of being ignored."""
 
     def test_run_scenarios_rejects_pool_typo(self):
-        with pytest.raises(ValueError, match="persistant"):
+        with pytest.raises(TypeError, match="pool"):
             run_scenarios([], pool="persistant")
+        with pytest.raises(TypeError, match="pool"):
+            run_traffic_scenarios([], pool="serial")
