@@ -786,6 +786,21 @@ class TestResilience:
 
         run(body())
 
+    def test_responses_record_the_degradation_ladder(self):
+        async def body():
+            svc = SolverService()
+            async with svc:
+                first = await svc.handle({"tree": PARENTS, "id": "a"})
+                second = await svc.handle({"tree": PARENTS, "id": "b"})
+            # without an engine (workers <= 1) every request answers from
+            # the bottom rung, which is the configured tier: not degraded
+            assert first.extras == {"tier": "serial"}
+            assert second.extras == {"tier": "serial"}
+            # the wire form carries the extras block
+            assert first.to_dict()["extras"] == {"tier": "serial"}
+
+        run(body())
+
     @pytest.mark.skipif(not can_spawn_workers(),
                         reason="platform cannot spawn worker processes")
     def test_degraded_flag_set_below_the_engine_tier(self):

@@ -275,6 +275,15 @@ class TestSolveMany:
             with pytest.raises(TypeError, match="pool"):
                 solve_many([tree], "minmem", workers=2, pool=mode)
 
+    def test_pool_accepts_known_modes(self, tree, rng):
+        # the executors the former pool modes named are picked by the
+        # worker count: None, 0 and 1 run serially in-process, 2 on the
+        # persistent process engine (two trees, so the batch reaches it)
+        trees = [tree, make_random_tree(25, rng)]
+        expected = [{"minmem": solve(t, "minmem")} for t in trees]
+        for workers in (None, 0, 1, 2):
+            assert solve_many(trees, "minmem", workers=workers) == expected
+
 
 class TestCompare:
     def test_ranked_best_first(self, tree):
