@@ -196,8 +196,10 @@ def _etree_instance(name: str, matrix, tmpdir: str) -> Tuple[str, Tree]:
     csc = loaded.tocsc()
     # column nonzero counts stand in for contribution-block / frontal sizes
     counts = [float(csc.indptr[j + 1] - csc.indptr[j]) for j in range(csc.shape[0])]
+    roots = [j for j, p in enumerate(parent) if p < 0]
+    if len(roots) == 1:  # a forest's artificial super-root already has f = 0
+        counts[roots[0]] = 0.0  # no file above the root
     tree = etree_to_task_tree(parent, f=counts, n_weights=[1.0] * len(parent))
-    tree.set_f(tree.root, 0.0)  # no file above the root
     return name, tree
 
 

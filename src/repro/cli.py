@@ -62,6 +62,7 @@ from .core.minio import HEURISTICS
 from .core.serialize import load_tree, save_tree, solve_report_to_dict
 from .core.tree import TreeValidationError
 from .solvers import (
+    UnknownOptionError,
     UnknownSolverError,
     compare,
     solve,
@@ -281,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_serve(args)
         if args.command == "report":
             return _cmd_report(args)
-    except UnknownSolverError as exc:
+    except (UnknownSolverError, UnknownOptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, TreeValidationError, json.JSONDecodeError) as exc:

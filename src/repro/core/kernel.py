@@ -54,7 +54,6 @@ Examples
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -62,10 +61,7 @@ __all__ = [
     "KernelExploreSolver",
     "flatten_chunks",
     "kernel_postorder",
-    "kernel_postorder_patch",
     "kernel_liu",
-    "kernel_liu_state",
-    "kernel_liu_patch",
     "kernel_min_mem",
     "kernel_replay_traversal",
     "kernel_replay_schedule",
@@ -141,14 +137,6 @@ class TreeKernel:
         "n",
         "mem_req",
         "child_f_sum",
-        # incremental-patch provenance: kernels built by :meth:`patched` keep
-        # a weak reference to the kernel they were derived from (`_base`) and
-        # the sorted tuple of indices whose subtree changed (`_dirty`); both
-        # are ``None`` for kernels built from scratch.  The incremental
-        # solvers (kernel_postorder_patch / kernel_liu_patch) use them to
-        # recompute only the root-path-affected nodes
-        "_base",
-        "_dirty",
         # weak-referenceable so the engine arena (repro.solvers.engine) can
         # key its shared-memory exports by kernel and release the segment
         # when the kernel is garbage collected
@@ -231,8 +219,6 @@ class TreeKernel:
         self.child_f_sum = cfs
         nvals = self.n
         self.mem_req = [fvals[i] + nvals[i] + cfs[i] for i in range(p)]
-        self._base = None
-        self._dirty = None
         self.validate_weights()
 
     # ------------------------------------------------------------------
@@ -371,101 +357,7 @@ class TreeKernel:
         cfs = np.bincount(tail, weights=f[1:], minlength=p)
         kern.child_f_sum = cfs.tolist()
         kern.mem_req = (f + n + cfs).tolist()
-        kern._base = None
-        kern._dirty = None
         return kern
-
-    # ------------------------------------------------------------------
-    # incremental patching
-    # ------------------------------------------------------------------
-    def patched(self, patches: Sequence[tuple]) -> "TreeKernel":
-        """A new kernel with a journal of tree mutations applied.
-
-        Each patch is one of the op tuples :class:`~repro.core.tree.Tree`
-        records while a cached kernel is being invalidated:
-
-        * ``("add", node, parent, f, n)`` -- a new leaf under ``parent``;
-        * ``("f", node, value)`` / ``("n", node, value)`` -- a weight update.
-
-        Existing nodes keep their indices; added nodes are appended in patch
-        order (a valid topological labeling, since every parent already has a
-        smaller index).  The appended labeling can differ from the BFS
-        labeling :meth:`from_tree` would produce, but all solver results are
-        labeling-independent in id-space: the hot paths only rely on
-        parent-before-child order and on the children's insertion order,
-        both of which are preserved exactly.
-
-        The result carries provenance for the incremental solvers:
-        ``_base`` is a weak reference to ``self`` and ``_dirty`` is the
-        sorted tuple of indices whose subtree differs from the base (the
-        union of the mutated nodes' root paths).  Everything outside
-        ``_dirty`` is untouched, so per-node solve state (postorder peaks,
-        Liu segments) computed on the base kernel remains valid there.
-        """
-        ids = list(self.ids)
-        index = dict(self.index)
-        parent = list(self.parent)
-        f = list(self.f)
-        n = list(self.n)
-        changed = set()
-        for op in patches:
-            kind = op[0]
-            if kind == "add":
-                _, node, par, fv, nv = op
-                if node in index:
-                    raise ValueError(f"patched node {node!r} already present")
-                i = len(ids)
-                ids.append(node)
-                index[node] = i
-                parent.append(index[par])
-                f.append(float(fv))
-                n.append(float(nv))
-                changed.add(i)
-                changed.add(index[par])
-            elif kind == "f":
-                _, node, value = op
-                i = index[node]
-                f[i] = float(value)
-                changed.add(i)
-                if parent[i] >= 0:
-                    changed.add(parent[i])
-            elif kind == "n":
-                _, node, value = op
-                i = index[node]
-                n[i] = float(value)
-                changed.add(i)
-            else:
-                raise ValueError(f"unknown kernel patch op {kind!r}")
-        kern = TreeKernel(parent, f, n, ids=ids)
-        dirty = set()
-        for i in changed:
-            while i >= 0 and i not in dirty:
-                dirty.add(i)
-                i = parent[i]
-        kern._base = weakref.ref(self)
-        kern._dirty = tuple(sorted(dirty))
-        return kern
-
-    def base_kernel(self) -> Optional["TreeKernel"]:
-        """The kernel this one was patched from, if it is still alive."""
-        ref = self._base
-        return None if ref is None else ref()
-
-    # ------------------------------------------------------------------
-    # pickling (slots class; provenance weakrefs are dropped)
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        return {
-            slot: getattr(self, slot)
-            for slot in TreeKernel.__slots__
-            if slot not in ("__weakref__", "_base", "_dirty")
-        }
-
-    def __setstate__(self, state) -> None:
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._base = None
-        self._dirty = None
 
     # ------------------------------------------------------------------
     # queries
@@ -601,67 +493,6 @@ def _emit_postorder(child_order: List[List[int]]) -> List[int]:
         for c in reversed(child_order[v]):
             stack.append(c)
     return order
-
-
-def kernel_postorder_patch(
-    kern: TreeKernel,
-    base_peak: Sequence[float],
-    base_child_order: Sequence[List[int]],
-    rule: str = "liu",
-) -> Tuple[float, List[int], List[float], List[List[int]]]:
-    """Incremental :func:`kernel_postorder` on a :meth:`TreeKernel.patched` kernel.
-
-    ``base_peak`` / ``base_child_order`` are the per-node arrays a previous
-    :func:`kernel_postorder` run (same ``rule``) produced on the kernel's
-    base.  Only the nodes in ``kern._dirty`` -- the mutated nodes and their
-    root paths -- are recomputed with the exact per-node update rule of the
-    full sweep; every other node's subtree is untouched, so its cached peak
-    and child permutation are reused verbatim.  The returned tuple is
-    bit-identical to running :func:`kernel_postorder` from scratch (the
-    differential suite in ``tests/differential`` asserts this).
-
-    The inputs are never mutated: the returned arrays are fresh lists that
-    share the unchanged per-node entries, so one base state can serve many
-    patches.
-    """
-    if kern._dirty is None:
-        raise ValueError("kernel has no patch provenance; run the full solve")
-    p = kern.size
-    f = kern.f
-    n = kern.n
-    child_ptr = kern.child_ptr
-    child_idx = kern.child_idx
-    peak = list(base_peak)
-    peak.extend([0.0] * (p - len(peak)))
-    child_order: List[List[int]] = list(base_child_order)
-    child_order.extend([[]] * (p - len(child_order)))
-
-    # dirty indices in decreasing order: every dirty child precedes its
-    # dirty ancestors (parent[i] < i), exactly like the full bottom-up sweep
-    for v in sorted(kern._dirty, reverse=True):
-        lo, hi = child_ptr[v], child_ptr[v + 1]
-        if lo == hi:
-            peak[v] = f[v] + n[v]
-            child_order[v] = []
-            continue
-        children = child_idx[lo:hi]
-        if hi - lo > 1:
-            if rule == "liu":
-                children.sort(key=lambda c: peak[c] - f[c], reverse=True)
-            elif rule == "subtree_memory":
-                children.sort(key=lambda c: peak[c])
-        child_order[v] = children
-        completed = 0.0
-        best = 0.0
-        for c in children:
-            cand = completed + peak[c]
-            if cand > best:
-                best = cand
-            completed += f[c]
-        cand = completed + n[v] + f[v]
-        peak[v] = cand if cand > best else best
-
-    return peak[0], _emit_postorder(child_order), peak, child_order
 
 
 # ----------------------------------------------------------------------
@@ -819,141 +650,6 @@ def _canonical(
     return segments
 
 
-def _liu_visit(
-    v: int,
-    f: List[float],
-    n: List[float],
-    child_ptr: List[int],
-    child_idx: List[int],
-    segments_of: List[Optional[List[Tuple[float, float, tuple]]]],
-) -> None:
-    """One node of the Liu sweep, *retaining* every child's segment list.
-
-    Same per-node computation as the corresponding block of
-    :func:`kernel_liu`, except that children's segments are read (and, for
-    the single-child case, copied) instead of being consumed -- the
-    state-keeping and incremental variants below need them to stay valid.
-    """
-    lo, hi = child_ptr[v], child_ptr[v + 1]
-    fv = f[v]
-    if lo == hi:
-        peak0 = fv + n[v]
-        segments_of[v] = [(peak0, fv, (v,))]
-        return
-    if hi - lo == 1:
-        # copy: kernel_liu appends the own-peak event onto the child's list
-        # in place (the child is about to be freed there); here the child's
-        # segments must survive for future patches
-        events = list(segments_of[child_idx[lo]])
-        base = events[-1][1]
-    else:
-        keyed: List[Tuple[float, int, int, float, float, tuple]] = []
-        for child_pos in range(lo, hi):
-            child = child_idx[child_pos]
-            prev_valley = 0.0
-            for seg_idx, (hill, valley, nodes) in enumerate(segments_of[child]):
-                keyed.append(
-                    (
-                        valley - hill,
-                        child_pos,
-                        seg_idx,
-                        hill - prev_valley,
-                        valley - prev_valley,
-                        nodes,
-                    )
-                )
-                prev_valley = valley
-        keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-        events = []
-        base = 0.0
-        for _, _, _, rel_hill, rel_valley, nodes in keyed:
-            events.append((base + rel_hill, base + rel_valley, nodes))
-            base += rel_valley
-    own_peak = base + n[v] + fv
-    events.append((own_peak, fv, (v,)))
-    max_hill = own_peak
-    single = True
-    for hill, valley, _ in events:
-        if valley < fv:
-            single = False
-            break
-        if hill > max_hill:
-            max_hill = hill
-    if single:
-        segs = [(max_hill, fv, tuple(nodes for _, _, nodes in events))]
-    else:
-        segs = _canonical(events)
-    segments_of[v] = segs
-
-
-def _liu_order(
-    root_segments: List[Tuple[float, float, tuple]],
-) -> List[int]:
-    order: List[int] = []
-    for _, _, nodes in root_segments:
-        order.extend(flatten_chunks(nodes))
-    return order
-
-
-def kernel_liu_state(
-    kern: TreeKernel,
-) -> Tuple[float, List[int], List[float], List[List[Tuple[float, float, tuple]]]]:
-    """:func:`kernel_liu`, returning the full per-node segment state.
-
-    Identical result values (the segment merge is the same computation; the
-    only difference is that no child segment list is freed), but the fourth
-    element is ``segments_of`` -- every node's canonical hill--valley
-    segments -- instead of just the root's.  That array, together with
-    ``subtree_peak``, is the state :func:`kernel_liu_patch` resumes from.
-    """
-    p = kern.size
-    f = kern.f
-    n = kern.n
-    child_ptr = kern.child_ptr
-    child_idx = kern.child_idx
-    segments_of: List[Optional[List[Tuple[float, float, tuple]]]] = [None] * p
-    subtree_peak = [0.0] * p
-    for v in range(p - 1, -1, -1):
-        _liu_visit(v, f, n, child_ptr, child_idx, segments_of)
-        subtree_peak[v] = segments_of[v][0][0]
-    return subtree_peak[0], _liu_order(segments_of[0]), subtree_peak, segments_of
-
-
-def kernel_liu_patch(
-    kern: TreeKernel,
-    base_subtree_peak: Sequence[float],
-    base_segments_of: Sequence[Optional[List[Tuple[float, float, tuple]]]],
-) -> Tuple[float, List[int], List[float], List[List[Tuple[float, float, tuple]]]]:
-    """Incremental :func:`kernel_liu` on a :meth:`TreeKernel.patched` kernel.
-
-    ``base_subtree_peak`` / ``base_segments_of`` come from a previous
-    :func:`kernel_liu_state` (or ``kernel_liu_patch``) run on the kernel's
-    base.  Only the nodes in ``kern._dirty`` are re-merged and re-cut; a
-    clean node's subtree is untouched, so its canonical segments are exactly
-    what the full sweep would recompute (segments only reference node
-    indices inside the subtree, and existing nodes keep their indices under
-    patching).  The result is bit-identical to a from-scratch
-    :func:`kernel_liu_state`.
-    """
-    if kern._dirty is None:
-        raise ValueError("kernel has no patch provenance; run the full solve")
-    p = kern.size
-    f = kern.f
-    n = kern.n
-    child_ptr = kern.child_ptr
-    child_idx = kern.child_idx
-    segments_of: List[Optional[List[Tuple[float, float, tuple]]]] = list(
-        base_segments_of
-    )
-    segments_of.extend([None] * (p - len(segments_of)))
-    subtree_peak = list(base_subtree_peak)
-    subtree_peak.extend([0.0] * (p - len(subtree_peak)))
-    for v in sorted(kern._dirty, reverse=True):
-        _liu_visit(v, f, n, child_ptr, child_idx, segments_of)
-        subtree_peak[v] = segments_of[v][0][0]
-    return subtree_peak[0], _liu_order(segments_of[0]), subtree_peak, segments_of
-
-
 # ----------------------------------------------------------------------
 # Explore / MinMem: the paper's Algorithms 3 and 4 on index arrays
 # ----------------------------------------------------------------------
@@ -994,15 +690,10 @@ class KernelExploreSolver:
     ----------
     kern : TreeKernel
         The flat tree.
-    reuse_states : bool
-        Keep every node's reached exploration state across calls (the fast
-        mode); ``False`` retains only the root's state, exactly as in the
-        paper's pseudocode.
     """
 
-    def __init__(self, kern: TreeKernel, *, reuse_states: bool = True) -> None:
+    def __init__(self, kern: TreeKernel) -> None:
         self.kern = kern
-        self.reuse_states = reuse_states
         self._peak_of = list(kern.mem_req)
         p = kern.size
         self._state_cut: List[Optional[Sequence[int]]] = [None] * p
@@ -1049,17 +740,6 @@ class KernelExploreSolver:
         mem_req = kern.mem_req
         child_ptr = kern.child_ptr
         child_idx = kern.child_idx
-        if not self.reuse_states:
-            # only the root's reached state (Algorithm 4's L_init / Tr_init)
-            # survives between calls, and the peak estimates start afresh
-            kept_cut = self._state_cut[0]
-            kept_required = self._state_required[0]
-            p = kern.size
-            self._state_cut = [None] * p
-            self._state_required = [0.0] * p
-            self._state_cut[0] = kept_cut
-            self._state_required[0] = kept_required
-            self._peak_of = list(mem_req)
         peak_of = self._peak_of
         state_cut = self._state_cut
         state_required = self._state_required
@@ -1183,9 +863,7 @@ class KernelExploreSolver:
         return resident, peak, required
 
 
-def kernel_min_mem(
-    kern: TreeKernel, *, reuse_states: bool = True
-) -> Tuple[float, List[int], int, int]:
+def kernel_min_mem(kern: TreeKernel) -> Tuple[float, List[int], int, int]:
     """The ``MinMem`` algorithm (paper Algorithm 4) on the kernel.
 
     Returns
@@ -1194,7 +872,7 @@ def kernel_min_mem(
         The optimal memory, an optimal top-down order (indices), the number
         of root sweeps and the total number of ``Explore`` invocations.
     """
-    solver = KernelExploreSolver(kern, reuse_states=reuse_states)
+    solver = KernelExploreSolver(kern)
     m_peak = max(kern.mem_req)
     m_avail = 0.0
     iterations = 0

@@ -61,26 +61,25 @@ class MinMemResult:
     explore_calls: int
 
 
-def min_memory(tree: Tree, *, reuse_states: bool = True) -> float:
+def min_memory(tree: Tree) -> float:
     """Minimum memory over all traversals (value only)."""
-    return min_mem(tree, reuse_states=reuse_states).memory
+    return min_mem(tree).memory
 
 
-def min_mem(tree: Tree, *, reuse_states: bool = True) -> MinMemResult:
+def min_mem(tree: Tree) -> MinMemResult:
     """Run the ``MinMem`` algorithm (Algorithm 4 of the paper).
+
+    Every node keeps the exploration state it reached across sweeps and
+    resumes from it, which is what makes the algorithm fast in practice.
+    The paper's pseudocode keeps only the root's state (the ``L_init`` /
+    ``Tr_init`` arguments of Algorithm 4); that literal mode, which returns
+    the same optimum more slowly, lives on as the test suite's oracle.
 
     Parameters
     ----------
     tree : Tree or TreeKernel
         The task tree (a flat :class:`~repro.core.kernel.TreeKernel` is
         accepted directly).
-    reuse_states : bool
-        When True (default), every node keeps the exploration state it
-        reached so far across sweeps and resumes from it, which is the
-        behaviour that makes the algorithm fast in practice.  When False,
-        only the root's reached state (the ``L_init`` / ``Tr_init`` arguments
-        of Algorithm 4) survives between sweeps, exactly as in the paper's
-        pseudocode; the result is identical, only slower.
 
     Returns
     -------
@@ -88,9 +87,7 @@ def min_mem(tree: Tree, *, reuse_states: bool = True) -> MinMemResult:
         Optimal memory and a witness traversal.
     """
     kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-    memory, order_idx, iterations, explore_calls = kernel_min_mem(
-        kern, reuse_states=reuse_states
-    )
+    memory, order_idx, iterations, explore_calls = kernel_min_mem(kern)
     return MinMemResult(
         memory=memory,
         traversal=Traversal(kern.order_to_ids(order_idx), TOPDOWN),

@@ -76,8 +76,6 @@ class Tree:
         "_n",
         "_root",
         "_kernel",
-        "_base_kernel",
-        "_patches",
     )
 
     def __init__(self) -> None:
@@ -87,13 +85,6 @@ class Tree:
         self._n: Dict[NodeId, float] = {}
         self._root: Optional[NodeId] = None
         self._kernel = None  # cached TreeKernel; invalidated on mutation
-        # mutation journal: when a cached kernel is invalidated, it moves to
-        # _base_kernel and the mutations are recorded as patch ops, so the
-        # next kernel() call can patch the flat arrays instead of re-walking
-        # the node dictionaries (and so the incremental solvers know which
-        # root paths changed).  Both stay None until a kernel exists.
-        self._base_kernel = None
-        self._patches: Optional[list] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -143,7 +134,7 @@ class Tree:
         self._children[node] = []
         self._f[node] = float(f)
         self._n[node] = float(n)
-        self._note_mutation(("add", node, parent, self._f[node], self._n[node]))
+        self._kernel = None
         return node
 
     @classmethod
@@ -245,48 +236,23 @@ class Tree:
         """Set the communication-file size of ``node``."""
         self._require(node)
         self._f[node] = float(value)
-        self._note_mutation(("f", node, self._f[node]))
+        self._kernel = None
 
     def set_n(self, node: NodeId, value: float) -> None:
         """Set the execution-file size of ``node``."""
         self._require(node)
         self._n[node] = float(value)
-        self._note_mutation(("n", node, self._n[node]))
-
-    def _note_mutation(self, op: tuple) -> None:
-        """Invalidate the cached kernel, journaling the mutation.
-
-        The first mutation after a kernel was built moves that kernel aside
-        as the patch base; subsequent mutations append to the journal.  Past
-        a size-proportional threshold the journal is dropped -- patching
-        would no longer beat a from-scratch rebuild, and the incremental
-        solvers' dirty set would approach the whole tree anyway.
-        """
-        if self._kernel is not None:
-            self._base_kernel = self._kernel
-            self._kernel = None
-            self._patches = [op]
-        elif self._patches is not None:
-            self._patches.append(op)
-            if len(self._patches) > max(16, self._base_kernel.size // 8):
-                self._base_kernel = None
-                self._patches = None
+        self._kernel = None
 
     def kernel(self):
         """The cached :class:`~repro.core.kernel.TreeKernel` of this tree.
 
         The flat array-backed form every solver hot path runs on.  Built on
         first access and cached; any mutation (:meth:`add_node`,
-        :meth:`set_f`, :meth:`set_n`) invalidates the cache, so the kernel
-        always reflects the current tree.
-
-        After a short run of mutations the rebuild is incremental: the
-        previous kernel's flat arrays are patched via
-        :meth:`~repro.core.kernel.TreeKernel.patched` instead of re-walking
-        the node dictionaries, and the resulting kernel carries the dirty
-        root-path set that lets ``solve(..., reuse=report)`` re-solve only
-        the affected nodes.  Long mutation runs fall back to a from-scratch
-        build; either way the kernel reflects the current tree exactly.
+        :meth:`set_f`, :meth:`set_n`) drops the cache, and the next call
+        rebuilds the kernel with :meth:`TreeKernel.from_tree
+        <repro.core.kernel.TreeKernel.from_tree>`, so the kernel always
+        reflects the current tree.
 
         Returns
         -------
@@ -297,13 +263,7 @@ class Tree:
         if self._kernel is None:
             from .kernel import TreeKernel
 
-            base, patches = self._base_kernel, self._patches
-            self._base_kernel = None
-            self._patches = None
-            if base is not None and patches:
-                self._kernel = base.patched(patches)
-            else:
-                self._kernel = TreeKernel.from_tree(self)
+            self._kernel = TreeKernel.from_tree(self)
         return self._kernel
 
     # ------------------------------------------------------------------
@@ -569,25 +529,6 @@ class Tree:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Tree(p={self.size}, root={self._root!r})"
-
-    def __getstate__(self):
-        # the cached kernel travels with the tree (workers skip rebuilding
-        # it), but the mutation journal does not: an unpickled tree simply
-        # rebuilds its kernel from scratch on the next kernel() call
-        return {
-            "_parent": self._parent,
-            "_children": self._children,
-            "_f": self._f,
-            "_n": self._n,
-            "_root": self._root,
-            "_kernel": self._kernel,
-        }
-
-    def __setstate__(self, state) -> None:
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._base_kernel = None
-        self._patches = None
 
     def _require(self, node: NodeId) -> None:
         if node not in self._parent:

@@ -215,7 +215,6 @@ class SolverService:
         max_inflight: Optional[int] = None,
         default_deadline: Optional[float] = None,
         interner_capacity: int = 512,
-        use_shared_memory: Optional[bool] = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
         breaker: Optional[CircuitBreaker] = None,
@@ -246,7 +245,6 @@ class SolverService:
             failure_threshold=breaker_threshold, cooldown=breaker_cooldown
         )
         self._fault_plan = fault_plan
-        self._use_shared_memory = use_shared_memory
         self._engine = None
         self._thread_pool = None
         self._queue: "asyncio.Queue" = None  # created in start()
@@ -278,7 +276,7 @@ class SolverService:
         if self.pool_mode == "persistent":
             from ..solvers.engine import PersistentBackend, SolveEngine
 
-            backend = PersistentBackend(use_shared_memory=self._use_shared_memory)
+            backend = PersistentBackend()
             if self._fault_plan is not None:
                 from ..faults import FaultyBackend
 

@@ -11,7 +11,7 @@ Request::
       "algorithm": "minmem",           # any registered solver (default minmem)
       "memory": 12.5,                  # optional budget (budgeted solvers)
       "deadline": 0.5,                 # optional seconds, from acceptance
-      "options": {"rule": "liu"},      # solver options (lenient dispatch)
+      "options": {"rule": "liu"},      # options the solver declares
       "report": "full"                 # "full" | "summary" | "none"
     }
 
@@ -52,7 +52,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.tree import Tree, TreeValidationError
 from ..obs import SpanTimeline
-from ..solvers.registry import UnknownSolverError, get_solver
+from ..solvers.facade import _check_options
+from ..solvers.registry import UnknownOptionError, UnknownSolverError, get_solver
 from ..solvers.report import SolveReport, report_to_dict
 from .errors import BadRequestError, ServiceError, UnknownTreeTokenError
 
@@ -65,10 +66,10 @@ __all__ = [
     "error_response",
 ]
 
-#: options a request may not carry: ``pool`` (the batch facade's former
-#: executor switch, which lenient dispatch would silently drop) and
-#: ``_fault`` (the fault-injection hook: the solver dispatch trips it, so a
-#: client could stall a solver thread or kill the daemon's process)
+#: options a request may not carry, whatever its solver declares: ``pool``
+#: (the batch facade's former executor switch) and ``_fault`` (the
+#: fault-injection hook: the solver dispatch trips it, so a client could
+#: stall a solver thread or kill the daemon's process)
 RESERVED_OPTIONS = ("pool", "_fault")
 
 #: report verbosity levels a request may ask for
@@ -252,9 +253,8 @@ def parse_request(
     trace.end("intern")
     trace.begin("parse")
 
-    algorithm = doc.get("algorithm", "minmem")
     try:
-        algorithm = get_solver(algorithm).name
+        spec = get_solver(doc.get("algorithm", "minmem"))
     except UnknownSolverError as exc:
         raise BadRequestError(str(exc)) from None
 
@@ -283,6 +283,11 @@ def parse_request(
             f"option(s) {reserved} are reserved and not accepted in a "
             "service request"
         )
+    if options:
+        try:
+            _check_options((spec,), options)
+        except UnknownOptionError as exc:
+            raise BadRequestError(str(exc)) from None
 
     report_mode = doc.get("report", "full")
     if report_mode not in REPORT_MODES:
@@ -295,7 +300,7 @@ def parse_request(
         id=request_id,
         tree=tree,
         tree_token=token,
-        algorithm=algorithm,
+        algorithm=spec.name,
         memory=memory,
         deadline=deadline,
         options=dict(options),

@@ -15,6 +15,10 @@ Requests run concurrently -- the reader never blocks on a solve -- and
 responses are written as they complete, one JSON document per line, matched
 to requests by ``id``.  EOF (or ``shutdown``) stops the reader; in-flight
 requests still drain to a response line before :func:`serve_stdio` returns.
+
+A line longer than the HTTP front end's body cap is read no further than
+the cap, drained to its end and answered with ``bad_request``; the next
+line is served as usual.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Any, Awaitable, Callable, Dict, Optional
 
 from .daemon import SolverService
 from .errors import BadRequestError
+from .http import MAX_BODY_BYTES
 from .protocol import error_response
 
 __all__ = ["serve_stdio", "run_stdio_server"]
@@ -42,7 +47,8 @@ async def serve_stdio(
 ) -> Dict[str, Any]:
     """Serve NDJSON requests until EOF; returns the final stats snapshot.
 
-    ``read_line`` yields one line per call (``None`` at EOF); ``write_line``
+    ``read_line`` yields one line per call (``None`` at EOF) and raises
+    :class:`BadRequestError` for a line it refuses to read; ``write_line``
     emits one line.  Both are async callables, so tests can drive the front
     end with in-memory queues and the CLI can wrap real stdin/stdout.
     """
@@ -58,8 +64,16 @@ async def serve_stdio(
         response = await service.handle(doc)
         await emit(response.to_dict())
 
+    async def refuse(exc: BadRequestError) -> None:
+        service.stats.bad_requests += 1
+        await emit(error_response(None, exc).to_dict())
+
     while True:
-        line = await read_line()
+        try:
+            line = await read_line()
+        except BadRequestError as exc:
+            await refuse(exc)
+            continue
         if line is None:
             break
         line = line.strip()
@@ -68,12 +82,7 @@ async def serve_stdio(
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            service.stats.bad_requests += 1
-            await emit(
-                error_response(
-                    None, BadRequestError(f"invalid JSON line: {exc}")
-                ).to_dict()
-            )
+            await refuse(BadRequestError(f"invalid JSON line: {exc}"))
             continue
         op = doc.get("op") if isinstance(doc, dict) else None
         if op == "stats":
@@ -120,12 +129,20 @@ async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
 
     Reading happens on the default thread executor so a quiet stdin never
     blocks the event loop (and the daemon keeps solving while waiting).
+    A line is read at most :data:`MAX_BODY_BYTES` characters at a time, so
+    one endless line cannot grow the daemon without bound.
     """
     loop = asyncio.get_running_loop()
     stdin = _open_stdin()
 
     def _read_blocking() -> Optional[str]:
-        line = stdin.readline()
+        line = stdin.readline(MAX_BODY_BYTES + 1)
+        if len(line) > MAX_BODY_BYTES and not line.endswith("\n"):
+            while line and not line.endswith("\n"):  # drain the rest
+                line = stdin.readline(MAX_BODY_BYTES)
+            raise BadRequestError(
+                f"request line exceeds {MAX_BODY_BYTES} characters"
+            )
         return line if line else None
 
     async def read_line() -> Optional[str]:

@@ -17,6 +17,7 @@ See :mod:`repro.solvers.registry` for registering custom algorithms and
 from .registry import (
     Solver,
     SolverSpec,
+    UnknownOptionError,
     UnknownSolverError,
     get_solver,
     list_solvers,
@@ -49,6 +50,7 @@ __all__ = [
     "SolverSpec",
     "SolveReport",
     "UnknownSolverError",
+    "UnknownOptionError",
     "register_solver",
     "get_solver",
     "list_solvers",

@@ -130,10 +130,8 @@ def _solve_liu(tree: Tree, **_ignored) -> SolveReport:
     summary="the paper's MinMem algorithm (optimal, explore-based)",
     aliases=("MinMem",),
 )
-def _solve_minmem(
-    tree: Tree, *, reuse_states: bool = True, **_ignored
-) -> SolveReport:
-    result = min_mem(tree, reuse_states=reuse_states)
+def _solve_minmem(tree: Tree, **_ignored) -> SolveReport:
+    result = min_mem(tree)
     return SolveReport(
         algorithm="minmem",
         peak_memory=result.memory,
@@ -141,7 +139,6 @@ def _solve_minmem(
         extras={
             "iterations": result.iterations,
             "explore_calls": result.explore_calls,
-            "reuse_states": reuse_states,
         },
     )
 
@@ -158,14 +155,13 @@ def _solve_explore(
     tree: Tree,
     *,
     memory: Optional[float] = None,
-    reuse_states: bool = True,
     **_ignored,
 ) -> SolveReport:
     """Partial traversal reachable with ``memory`` (default ``max MemReq``)."""
     kern = _as_kernel(tree)
     if memory is None:
         memory = kern.max_mem_req()
-    solver = KernelExploreSolver(kern, reuse_states=reuse_states)
+    solver = KernelExploreSolver(kern)
     resident, cut, order_idx, peak, required = solver.explore(memory)
     order = kern.order_to_ids(order_idx)
     return SolveReport(
@@ -199,7 +195,7 @@ def _minio_report(
     from .facade import _dispatch
 
     if traversal is None:
-        base = _dispatch(tree, traversal_algorithm, None, {}, strict=False)
+        base = _dispatch(tree, traversal_algorithm, None, {})
         traversal, in_core_peak = base.traversal, base.peak_memory
         traversal_algorithm = base.algorithm
     else:

@@ -39,7 +39,7 @@ def _solve_payload(payload: Tuple[TreeRef, str, Optional[float], Dict[str, Any]]
     from ...facade import _dispatch
 
     ref, algorithm, memory, options = payload
-    return _dispatch(resolve(ref), algorithm, memory, options, strict=False)
+    return _dispatch(resolve(ref), algorithm, memory, options)
 
 
 def _solve_payload_chunk(payloads: Sequence[Tuple]) -> List[Any]:

@@ -23,7 +23,7 @@ from time import perf_counter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.tree import Tree
-from .registry import SolverSpec, get_solver
+from .registry import SolverSpec, UnknownOptionError, get_solver
 from .report import SolveReport
 
 __all__ = [
@@ -48,7 +48,7 @@ def _declared_options(func) -> Optional[FrozenSet[str]]:
     var-keyword parameter named ``_ignored`` (so batch calls can forward
     options that only apply to some of the algorithms).  A var-keyword
     parameter with any *other* name marks a solver that genuinely accepts
-    arbitrary options, disabling the strict check.
+    arbitrary options, disabling the :func:`_check_options` check.
     """
     names = set()
     for param in inspect.signature(func).parameters.values():
@@ -60,34 +60,49 @@ def _declared_options(func) -> Optional[FrozenSet[str]]:
     return frozenset(names)
 
 
+def _check_options(specs: Sequence[SolverSpec], options: Dict[str, Any]) -> None:
+    """Raise :class:`UnknownOptionError` for an option no solver in ``specs`` takes.
+
+    The one rule behind every entry point (:func:`solve`, :func:`solve_many`,
+    :func:`compare`, the service's request parser): a batch may carry an
+    option only some of its solvers take, but an option none of them takes
+    is a typo or a removed feature, never silently dropped.
+    """
+    unknown = set(options)
+    accepted: set = set()
+    for spec in specs:
+        declared = _declared_options(spec.func)
+        if declared is None:
+            return
+        unknown -= declared
+        accepted |= declared
+    if unknown:
+        names = ", ".join(repr(spec.name) for spec in specs)
+        raise UnknownOptionError(
+            f"solver {names} got unexpected option(s) {sorted(unknown)}; "
+            f"accepted: {sorted(accepted)}"
+        )
+
+
 def _prepare_options(
     spec: SolverSpec,
     memory: Optional[float],
     options: Dict[str, Any],
-    *,
-    strict: bool,
 ) -> Dict[str, Any]:
     """Resolve the options actually handed to ``spec.func``.
 
     ``memory`` is a facade-level parameter: it is forwarded only to solvers
     that take one (``explore``, the ``minio`` family) and silently dropped
-    otherwise.  Any other option the solver does not declare raises
-    :class:`TypeError` when ``strict`` (single-algorithm :func:`solve`) and
-    is dropped when lenient (:func:`solve_many` batches over algorithms with
-    different option sets).
+    otherwise.  Any other option the solver does not declare is dropped:
+    the entry points already refused an option no requested solver takes
+    (:func:`_check_options`), and a batch shares one option set across
+    algorithms with different signatures.
     """
     declared = _declared_options(spec.func)
     opts = dict(options)
     if declared is not None:
-        unknown = set(opts) - declared
-        if unknown:
-            if strict:
-                raise TypeError(
-                    f"solver {spec.name!r} got unexpected option(s) "
-                    f"{sorted(unknown)}; it accepts {sorted(declared)}"
-                )
-            for key in unknown:
-                opts.pop(key)
+        for key in set(opts) - declared:
+            opts.pop(key)
         if memory is not None and "memory" in declared:
             opts["memory"] = memory
     elif memory is not None:
@@ -100,7 +115,6 @@ def solve(
     algorithm: str = "minmem",
     *,
     memory: Optional[float] = None,
-    reuse: Optional[Any] = None,
     **options: Any,
 ) -> SolveReport:
     """Run one registered solver on ``tree`` and return its report.
@@ -116,19 +130,12 @@ def solve(
     memory : float, optional
         Main-memory budget, forwarded to solvers that take one (``explore``
         and the ``minio`` family); the in-core MinMemory solvers ignore it.
-    reuse : True or SolveReport, optional
-        Incremental re-solve for the postorder/Liu solvers: pass a previous
-        report (of the same algorithm on the tree before its latest
-        mutations) to re-solve only the mutated nodes' root paths, or
-        ``True`` to bootstrap -- solve from scratch but retain the per-node
-        state a later ``reuse=report`` call resumes from.  The result is
-        bit-identical to a from-scratch solve either way; see
-        :mod:`repro.solvers.incremental`.
     options
         Solver-specific keyword options (e.g. ``rule=`` for ``postorder``,
-        ``heuristic=`` for ``minio``, ``reuse_states=`` for ``minmem``).
-        Options the solver does not declare raise :class:`TypeError`, so a
-        typo cannot silently fall back to a default.
+        ``heuristic=`` for ``minio``).  Options the solver does not declare
+        raise :class:`~repro.solvers.UnknownOptionError` (a
+        :class:`TypeError`), so a typo cannot silently fall back to a
+        default.
 
     Returns
     -------
@@ -140,6 +147,8 @@ def solve(
     ------
     UnknownSolverError
         If ``algorithm`` does not resolve to a registered solver.
+    UnknownOptionError
+        If the solver does not take one of ``options``.
 
     Examples
     --------
@@ -147,13 +156,8 @@ def solve(
     >>> solve(chain_tree(4, f=1.0, n=1.0), "minmem").peak_memory
     3.0
     """
-    if reuse is not None:
-        from .incremental import solve_incremental
-
-        return solve_incremental(
-            tree, algorithm, memory=memory, reuse=reuse, **options
-        )
-    return _dispatch(tree, algorithm, memory, options, strict=True)
+    _check_options((get_solver(algorithm),), options)
+    return _dispatch(tree, algorithm, memory, options)
 
 
 def _dispatch(
@@ -161,8 +165,6 @@ def _dispatch(
     algorithm: str,
     memory: Optional[float],
     options: Dict[str, Any],
-    *,
-    strict: bool,
 ) -> SolveReport:
     fault = options.get("_fault")
     if fault is not None:
@@ -175,7 +177,7 @@ def _dispatch(
 
         trip(fault)
     spec = get_solver(algorithm)
-    opts = _prepare_options(spec, memory, options, strict=strict)
+    opts = _prepare_options(spec, memory, options)
     start = perf_counter()
     report = spec.func(tree, **opts)
     elapsed = perf_counter() - start
@@ -197,13 +199,9 @@ def _normalize_algorithms(algorithms: AlgorithmArg) -> Tuple[str, ...]:
 
 
 def _solve_task(payload: Tuple[Tree, str, Optional[float], Dict[str, Any]]) -> SolveReport:
-    """Module-level worker so the process pool can pickle it.
-
-    Lenient dispatch: a batch shares one option set across algorithms with
-    different signatures, so inapplicable options are dropped per solver.
-    """
+    """Module-level worker so the process pool can pickle it."""
     tree, algorithm, memory, options = payload
-    return _dispatch(tree, algorithm, memory, options, strict=False)
+    return _dispatch(tree, algorithm, memory, options)
 
 
 def solve_many(
@@ -238,11 +236,10 @@ def solve_many(
         missing platform, per batch for pool crashes and unpicklable
         options; the results are identical either way, only slower).
     options
-        Forwarded to every solver with lenient dispatch (options a solver
-        does not declare are dropped for that solver, so one option set can
-        serve a mixed batch).  ``pool`` is rejected with :class:`TypeError`:
-        it used to choose the executor, which ``workers`` now decides, and
-        lenient dispatch would otherwise drop it without a word.
+        Forwarded to every solver that declares them and dropped for the
+        others, so one option set can serve a mixed batch.  An option none
+        of the algorithms declares raises
+        :class:`~repro.solvers.UnknownOptionError` (a :class:`TypeError`).
 
     Returns
     -------
@@ -250,13 +247,9 @@ def solve_many(
         One dictionary per input tree (in input order) mapping the
         canonical algorithm name to its :class:`SolveReport`.
     """
-    if "pool" in options:
-        raise TypeError(
-            "solve_many() no longer takes a pool option; the worker count "
-            "picks the executor (workers > 1 runs on the process engine)"
-        )
     tree_list = list(trees)
     names = _normalize_algorithms(algorithms)
+    _check_options([get_solver(name) for name in names], options)
     # one shared options dict: solvers never mutate it (_prepare_options
     # copies), and the pickle memo then ships it once per executor chunk
     shared_options = dict(options)
@@ -354,8 +347,8 @@ def compare(
     workers : int, optional
         Worker processes, as in :func:`solve_many`.
     options
-        Extra solver options (lenient dispatch: options a solver does not
-        declare are dropped for that solver).
+        Extra solver options, as in :func:`solve_many`: dropped for the
+        solvers that do not declare them, refused when none does.
 
     Returns
     -------

@@ -34,6 +34,7 @@ __all__ = [
     "Solver",
     "SolverSpec",
     "UnknownSolverError",
+    "UnknownOptionError",
     "register_solver",
     "get_solver",
     "list_solvers",
@@ -43,6 +44,10 @@ __all__ = [
 
 class UnknownSolverError(ValueError):
     """Raised when an algorithm name does not resolve to a registered solver."""
+
+
+class UnknownOptionError(TypeError):
+    """Raised when no requested solver takes a keyword option."""
 
 
 class Solver(Protocol):

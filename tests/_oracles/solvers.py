@@ -57,8 +57,7 @@ def solve(
             extras={"segments": len(result.segments)},
         )
     elif name == "minmem":
-        reuse_states = options.get("reuse_states", True)
-        result = min_mem(tree, reuse_states=reuse_states)
+        result = min_mem(tree)
         report = SolveReport(
             algorithm=name,
             peak_memory=result.memory,
@@ -66,11 +65,10 @@ def solve(
             extras={
                 "iterations": result.iterations,
                 "explore_calls": result.explore_calls,
-                "reuse_states": reuse_states,
             },
         )
     elif name == "explore":
-        report = _explore(tree, memory, options.get("reuse_states", True))
+        report = _explore(tree, memory)
     elif name == "auto":
         report = _auto(tree)
     else:
@@ -88,10 +86,10 @@ def solve(
     return replace(report, algorithm=name)
 
 
-def _explore(tree: Tree, memory: Optional[float], reuse_states: bool) -> SolveReport:
+def _explore(tree: Tree, memory: Optional[float]) -> SolveReport:
     if memory is None:
         memory = tree.max_mem_req()
-    solver = ExploreSolver(tree, reuse_states=reuse_states)
+    solver = ExploreSolver(tree)
     result = solver.explore(tree.root, memory)
     order = tuple(flatten_nodes(result.traversal_chunks))
     return SolveReport(

@@ -3,8 +3,7 @@
 Trees are built with integer node ids ``0..p-1`` in insertion order and
 exact (small-integer-valued) float weights, so every solver comparison in
 this suite can assert *bit identity* -- ``==`` on peaks and traversals,
-no tolerances.  Mutations are drawn interactively (``st.data()``) because
-each op's legal arguments depend on the tree the previous ops produced.
+no tolerances.
 """
 
 from __future__ import annotations
@@ -28,36 +27,3 @@ def task_trees(draw, min_nodes: int = 1, max_nodes: int = 40) -> Tree:
         parent = draw(st.integers(min_value=0, max_value=i - 1))
         tree.add_node(i, parent=parent, f=draw(f_weights), n=draw(n_weights))
     return tree
-
-
-def draw_mutations(data, tree: Tree, max_ops: int = 6) -> int:
-    """Apply 1..max_ops drawn mutations to ``tree`` in place; the op count.
-
-    Ops cover the full mutating surface that feeds the incremental path:
-    ``add_node`` (fresh integer id, drawn parent), ``set_f`` and ``set_n``
-    on a drawn existing node.
-    """
-    ops = data.draw(st.integers(min_value=1, max_value=max_ops), label="ops")
-    for _ in range(ops):
-        kind = data.draw(st.sampled_from(("add", "f", "n")), label="kind")
-        if kind == "add":
-            parent = data.draw(
-                st.integers(min_value=0, max_value=tree.size - 1), label="parent"
-            )
-            tree.add_node(
-                tree.size,
-                parent=parent,
-                f=data.draw(f_weights, label="f"),
-                n=data.draw(n_weights, label="n"),
-            )
-        elif kind == "f":
-            node = data.draw(
-                st.integers(min_value=0, max_value=tree.size - 1), label="node"
-            )
-            tree.set_f(node, data.draw(f_weights, label="value"))
-        else:
-            node = data.draw(
-                st.integers(min_value=0, max_value=tree.size - 1), label="node"
-            )
-            tree.set_n(node, data.draw(n_weights, label="value"))
-    return ops

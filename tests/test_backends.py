@@ -2,9 +2,9 @@
 
 Three concerns, mirroring the call sites that share the seam:
 
-* the parity matrix: every registered algorithm (the ``auto`` portfolio and
-  ``reuse=`` incremental re-solves included) is bit-identical in-process
-  and on the persistent process engine;
+* the parity matrix: every registered algorithm (the ``auto`` portfolio
+  included) is bit-identical in-process and on the persistent process
+  engine;
 * the engine lifecycle (stop -> reject new work -> shutdown -> re-arm) and
   the serial backend's already-completed futures;
 * the campaign planner's straggler re-splitting is an execution detail:
@@ -67,26 +67,6 @@ class TestBackendParity:
         expected = solve_many(kerns, algorithms, memory=budget, workers=1)
         got = solve_many(kerns, algorithms, memory=budget, workers=3)
         assert got == expected
-
-    @pytest.mark.parametrize("algorithm", ["postorder", "liu"])
-    def test_incremental_reuse_matches_every_backend(self, algorithm):
-        rng = random.Random(5)
-        tree = make_random_tree(26, rng)
-        report = solve(tree, algorithm, reuse=True)
-        # mutate a few nodes, then re-solve incrementally
-        tree.set_f(rng.randrange(tree.size), 9.0)
-        tree.add_node(tree.size, parent=rng.randrange(tree.size), f=4.0, n=2.0)
-        incremental = solve(tree, algorithm, reuse=report)
-        assert incremental.extras["incremental"] in ("patched", "full")
-        for workers in (None, 2):
-            (scratch,) = solve_many(
-                [tree.copy()], ("postorder", "liu"), workers=workers
-            )
-            got = scratch[algorithm]
-            assert got.peak_memory == incremental.peak_memory
-            assert got.io_volume == incremental.io_volume
-            assert got.traversal.order == incremental.traversal.order
-            assert got.traversal.convention == incremental.traversal.convention
 
 
 # ----------------------------------------------------------------------

@@ -201,6 +201,9 @@ class TestServeCommand:
         fault = {"kind": "transient", "at": 0, "delay": 0.0}
         lines = "".join(json.dumps(doc) + "\n" for doc in (
             {"id": "f", "tree": tree, "options": {"_fault": fault}},
+            # an option minio does not take is refused, not dropped
+            {"id": "h", "tree": tree, "algorithm": "minio", "memory": 45,
+             "options": {"heurstic": "best_fit"}},
             {"id": "b", "tree": tree},
         ))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
@@ -209,6 +212,8 @@ class TestServeCommand:
         by_id = {doc["id"]: doc for doc in docs}
         assert by_id["f"]["status"] == "bad_request"
         assert "_fault" in by_id["f"]["error"]["message"]
+        assert by_id["h"]["status"] == "bad_request"
+        assert "heurstic" in by_id["h"]["error"]["message"]
         assert by_id["b"]["status"] == "ok"
 
     def test_fault_plan_needs_workers(self, monkeypatch, capsys):

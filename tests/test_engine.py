@@ -230,16 +230,15 @@ class TestArenaTransport:
 class TestFallbacks:
     def test_engine_warns_on_unpicklable_options(self):
         trees = _sample_trees()[:2]
+        # solve_many refuses an option no solver takes, so the cells go to
+        # the engine directly; the option's value cannot be pickled
+        cells = [(tree, "minmem", None, {"probe": _UNPICKLABLE}) for tree in trees]
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            batches = solve_many(
-                trees,
-                "minmem",
-                workers=2,
-                probe=_UNPICKLABLE,  # -> PicklingError in the pool
-            )
-        # the serial fallback still produced correct reports (the unknown
-        # option is dropped by lenient dispatch)
-        assert batches == solve_many(trees, "minmem", workers=None)
+            assert get_engine().run_batch(cells, 2) is None
+        # the serial fallback still produces correct reports (the dispatch
+        # drops an option the solver does not declare)
+        expected = [reports["minmem"] for reports in solve_many(trees, "minmem")]
+        assert [_solve_task(cell) for cell in cells] == expected
 
     def test_unavailable_platform_warns_once_per_engine(self, monkeypatch):
         engine = SolveEngine()

@@ -7,8 +7,7 @@ floating point and equality can be exact).  On each of the 1,748 trees:
 
 * every registered solver's report equals the report its per-node oracle
   (``_oracles.solve``) builds, with ``explore`` and the MinIO family run at
-  one budget halfway between ``max MemReq`` and the optimum, and ``minmem``
-  run a second time with ``reuse_states=False``;
+  one budget halfway between ``max MemReq`` and the optimum;
 * one :class:`KernelExploreSolver` driven through the budgets floor, mid,
   floor, optimum returns what the per-node ``ExploreSolver`` driven the
   same way returns at every step: the third call cannot resume the root's
@@ -77,13 +76,6 @@ def test_every_solver_matches_its_oracle(small_trees):
             kernel = solve(tree, algorithm, memory=budget)
             oracle = _oracles.solve(tree, algorithm, memory=budget)
             assert kernel == oracle, f"{algorithm} on {label}"
-
-
-def test_minmem_without_state_reuse_matches_its_oracle(small_trees):
-    for label, tree in small_trees:
-        kernel = solve(tree, "minmem", reuse_states=False)
-        oracle = _oracles.solve(tree, "minmem", reuse_states=False)
-        assert kernel == oracle, label
 
 
 def test_explore_resumes_and_restarts_like_its_oracle(small_trees):

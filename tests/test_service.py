@@ -69,8 +69,7 @@ class TestProtocol:
     def test_parse_request_builds_tree_and_canonicalises(self):
         interner = TreeInterner()
         request = parse_request(
-            {"tree": PARENTS, "algorithm": "MinMem", "memory": 12,
-             "options": {"reuse_states": True}},
+            {"tree": PARENTS, "algorithm": "MinMem", "memory": 12},
             interner,
         )
         assert request.algorithm == "minmem"  # canonical registry name
@@ -116,6 +115,10 @@ class TestProtocol:
         # the fault-injection hook trips in the solver dispatch: a request
         # carrying it could kill the daemon's process or stall a solver
         ({"tree": PARENTS, "options": {"_fault": {"kind": "worker_kill"}}}, "reserved"),
+        # an option the named solver does not take: the dispatch would drop
+        # it and answer with the default heuristic
+        ({"tree": PARENTS, "algorithm": "minio", "memory": 45,
+          "options": {"heurstic": "best_fit"}}, "heurstic"),
     ])
     def test_parse_request_rejects_malformed(self, doc, match):
         with pytest.raises(BadRequestError, match=match):
@@ -443,6 +446,38 @@ class TestStdioFrontEnd:
         ids = {doc.get("id") for doc in out}
         assert "a" in ids and "never" not in ids
         assert snapshot["accepted"] == 1
+
+    def test_overlong_line_is_refused_and_serving_continues(self, monkeypatch):
+        import io
+
+        from repro.service import run_stdio_server
+
+        request = json.dumps({"id": "a", "tree": PARENTS})
+        cap = len(request) + 10
+        monkeypatch.setattr("repro.service.stdio.MAX_BODY_BYTES", cap)
+        stdin = "".join([
+            "x" * (3 * cap) + "\n",  # drained over several reads
+            request.ljust(cap) + "\n",  # exactly at the cap: served
+            "y" * (cap + 1),  # over the cap at EOF, no newline
+        ])
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        stdout = io.StringIO()
+        monkeypatch.setattr("sys.stdout", stdout)
+
+        async def body():
+            async with SolverService() as svc:
+                return await run_stdio_server(svc)
+
+        snapshot = run(body())
+        docs = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(docs) == 3
+        refused = [doc for doc in docs if doc["status"] == "bad_request"]
+        assert len(refused) == 2
+        for doc in refused:
+            assert f"exceeds {cap} characters" in doc["error"]["message"]
+        (served,) = [doc for doc in docs if doc.get("id") == "a"]
+        assert served["status"] == "ok"
+        assert (snapshot["bad_requests"], snapshot["completed"]) == (2, 1)
 
 
 class TestHttpFrontEnd:

@@ -101,6 +101,19 @@ class TestRegistry:
             solve(tree, "minio", memory=tree.max_mem_req(), heuristc="lsnf")
         with pytest.raises(TypeError, match="unexpected option"):
             solve(tree, "postorder", rulee="natural")
+        # options of deleted features are unknown options like any typo
+        with pytest.raises(TypeError, match="reuse"):
+            solve(tree, "liu", reuse=True)
+        with pytest.raises(TypeError, match="reuse_states"):
+            solve(tree, "minmem", reuse_states=False)
+        # a batch refuses an option none of its solvers takes
+        with pytest.raises(TypeError, match="heurstic"):
+            solve_many(
+                [tree, tree], "minio", memory=tree.max_mem_req(),
+                heurstic="best_fit",
+            )
+        with pytest.raises(TypeError, match="rulee"):
+            compare(tree, rulee="natural")
 
     @pytest.mark.parametrize("algorithm", list_solvers())
     def test_bad_weights_rejected_by_every_solver(self, algorithm):
@@ -265,8 +278,10 @@ class TestSolveMany:
             solve_many([tree], ())
 
     def test_options_forwarded(self, tree):
-        (reports,) = solve_many([tree], "minmem", reuse_states=False)
-        assert reports["minmem"].extras["reuse_states"] is False
+        # forwarded to the solver that takes it, dropped for the other
+        (reports,) = solve_many([tree], ("postorder", "minmem"), rule="natural")
+        assert reports["postorder"].extras["rule"] == "natural"
+        assert reports["minmem"] == solve(tree, "minmem")
 
     def test_pool_typo_rejected_eagerly(self, tree):
         # pool= no longer picks the executor (workers does); lenient
@@ -365,6 +380,18 @@ class TestSolveCli:
 
         assert main(["solve", str(tree_file), "--algorithm", "magic"]) == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_solve_option_the_solver_does_not_take_fails(self, tree_file, capsys):
+        from repro.cli import main
+
+        # minmem takes no eviction heuristic: one tree or a batch, the
+        # option is refused with a one-line error instead of a traceback
+        for trees in ([tree_file], [tree_file, tree_file]):
+            argv = ["solve", *map(str, trees), "-a", "minmem", "--heuristic", "best_fit"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "heuristic" in err
+            assert len(err.splitlines()) == 1
 
     def test_solve_many_trees_batch(self, tmp_path, rng, capsys):
         from repro.cli import main
