@@ -23,7 +23,7 @@ contribution block sent to its parent).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class AmalgamatedTree:
     def children(self) -> List[List[int]]:
         """Children lists of the assembly tree."""
         out: List[List[int]] = [[] for _ in range(self.size)]
-        for s, p in enumerate(self.parent):
+        for s, p in enumerate(self.parent.tolist()):
             if p >= 0:
                 out[p].append(s)
         return out
@@ -138,7 +138,9 @@ def amalgamate(
     Parameters
     ----------
     parent:
-        Elimination-tree parent array (``-1`` for roots).
+        Elimination-tree parent array: every entry is ``-1`` (a root) or
+        satisfies ``j < parent[j] < n``, as :func:`elimination_tree
+        <repro.sparse.etree.elimination_tree>` always produces.
     counts:
         Column counts ``mu_j`` of the Cholesky factor (diagonal included).
     relaxed:
@@ -152,11 +154,27 @@ def amalgamate(
     -------
     AmalgamatedTree
         Supernodes with paper-compatible weights and the quotient tree.
+
+    Raises
+    ------
+    ValueError
+        If the lengths differ or ``parent`` is not labelled like an
+        elimination tree.
     """
     parent = np.asarray(parent, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size != parent.size:
         raise ValueError("parent and counts must have the same length")
+    n = parent.size
+    bad = np.flatnonzero(
+        (parent != -1) & ((parent <= np.arange(n)) | (parent >= n))
+    )
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"parent[{j}] = {int(parent[j])}: an elimination-tree parent is "
+            f"-1 or lies strictly between {j} and {n}"
+        )
     leader = _perfect_leaders(parent, counts, perfect)
     return _supernodes(parent, counts, leader, relaxed)
 
@@ -165,84 +183,90 @@ def _supernodes(
     parent: np.ndarray, counts: np.ndarray, leader: np.ndarray, relaxed: int
 ) -> AmalgamatedTree:
     """Quotient tree of the perfect-amalgamation ``leader`` of every column,
-    relaxed by up to ``relaxed`` child absorptions per supernode."""
+    relaxed by up to ``relaxed`` child absorptions per supernode.
+
+    Every group is named by its top, its largest member: parents are larger
+    than their children, so the top of a perfect chain is its leader and an
+    absorbed group lies below its absorber.  Groups are addressed by the
+    position of their top in ``tops``; the relaxed sweep visits positions
+    from the largest down, which is top-down, and records in ``owner`` the
+    group that absorbed each one.
+    """
     n = parent.size
-    # ------------------------------------------------------------------
-    # build the quotient (perfectly amalgamated) tree
-    # ------------------------------------------------------------------
-    groups: Dict[int, List[int]] = {}
-    for v, rep in enumerate(leader.tolist()):
-        groups.setdefault(rep, []).append(v)
+    tops = np.flatnonzero(leader == np.arange(n))
+    m = tops.size
+    # quotient (perfectly amalgamated) tree over group positions
+    qparent = np.full(m, -1, dtype=np.int64)
+    above = parent[tops]
+    has_parent = above >= 0
+    qparent[has_parent] = np.searchsorted(tops, leader[above[has_parent]])
 
-    def quotient_parent(rep: int) -> int:
-        top = max(groups[rep])  # topmost member: largest column index
-        p = int(parent[top])
-        return -1 if p < 0 else int(leader[p])
+    owner = np.arange(m)
+    if relaxed > 0 and m:
+        owner = np.asarray(_relax(qparent, counts[tops], relaxed), dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # relaxed amalgamation on the quotient tree (top-down, densest child)
-    # ------------------------------------------------------------------
-    if relaxed > 0:
-        qparent: Dict[int, int] = {rep: quotient_parent(rep) for rep in groups}
-        qchildren: Dict[int, List[int]] = {rep: [] for rep in groups}
-        for rep, qp in qparent.items():
-            if qp >= 0:
-                qchildren[qp].append(rep)
-        roots = [rep for rep, qp in qparent.items() if qp < 0]
-        # top-down sweep: absorb densest children while the budget allows
-        stack = list(roots)
-        budget = {rep: relaxed for rep in groups}
-        while stack:
-            rep = stack.pop()
-            while budget[rep] > 0 and qchildren[rep]:
-                densest = max(
-                    qchildren[rep], key=lambda c: (int(counts[max(groups[c])]), c)
-                )
-                qchildren[rep].remove(densest)
-                # merge `densest` into `rep`
-                groups[rep].extend(groups[densest])
-                for grandchild in qchildren.pop(densest):
-                    qparent[grandchild] = rep
-                    qchildren[rep].append(grandchild)
-                del groups[densest]
-                del qparent[densest]
-                budget[rep] -= 1
-            stack.extend(qchildren[rep])
-        final_groups = groups
-        final_parent_of = qparent
-    else:
-        final_groups = groups
-        final_parent_of = {rep: quotient_parent(rep) for rep in groups}
+    # materialise supernodes with the paper's weights: supernode i is the
+    # i-th surviving group in increasing order of its top
+    keep = np.flatnonzero(owner == np.arange(m))
+    sn_tops = tops[keep]
+    size = sn_tops.size
+    group = owner[np.searchsorted(tops, leader)]  # of every column
+    column_to_supernode = np.searchsorted(sn_tops, tops[group])
+    sn_parent = np.full(size, -1, dtype=np.int64)
+    up = qparent[keep]
+    has_parent = up >= 0
+    sn_parent[has_parent] = np.searchsorted(sn_tops, tops[owner[up[has_parent]]])
 
-    # ------------------------------------------------------------------
-    # materialise supernodes with the paper's weights
-    # ------------------------------------------------------------------
-    reps = sorted(final_groups)
-    index_of = {rep: i for i, rep in enumerate(reps)}
-    supernodes: List[Supernode] = []
-    column_to_supernode = np.empty(n, dtype=np.int64)
-    for rep in reps:
-        members = tuple(sorted(final_groups[rep]))
-        top = members[-1]
-        sn = Supernode(
-            index=index_of[rep],
-            members=members,
-            representative=int(top),
-            eta=len(members),
-            mu=int(counts[top]),
-        )
-        supernodes.append(sn)
-        for m in members:
-            column_to_supernode[m] = sn.index
-
-    sn_parent = np.full(len(reps), -1, dtype=np.int64)
-    for rep in reps:
-        qp = final_parent_of[rep]
-        if qp >= 0:
-            sn_parent[index_of[rep]] = index_of[qp]
-
+    # members ascending within each supernode, sliced out of one list
+    members = np.argsort(column_to_supernode, kind="stable").tolist()
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(column_to_supernode, minlength=size)))
+    ).tolist()
+    top_list = sn_tops.tolist()
+    mu = counts[sn_tops].tolist()
+    supernodes = tuple(
+        Supernode(i, tuple(members[bounds[i] : bounds[i + 1]]), top_list[i],
+                  bounds[i + 1] - bounds[i], mu[i])
+        for i in range(size)
+    )
     return AmalgamatedTree(
-        supernodes=tuple(supernodes),
+        supernodes=supernodes,
         parent=sn_parent,
         column_to_supernode=column_to_supernode,
     )
+
+
+def _relax(qparent: np.ndarray, top_counts: np.ndarray, relaxed: int) -> List[int]:
+    """Top-down relaxed sweep over the quotient tree; the absorber of every
+    group position (itself for a surviving group).
+
+    A surviving group absorbs, up to ``relaxed`` times, the densest group of
+    its frontier: its children, plus the children of every group it has
+    absorbed.  Density orders by the top's column count, then by the top.
+    """
+    m = qparent.size
+    child = qparent >= 0
+    child_ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(qparent[child], minlength=m)))
+    ).tolist()
+    kids = np.flatnonzero(child)[np.argsort(qparent[child], kind="stable")].tolist()
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(top_counts, kind="stable")] = np.arange(m)
+    density = rank.tolist().__getitem__
+
+    owner = list(range(m))
+    for group in range(m - 1, -1, -1):
+        if owner[group] != group:
+            continue
+        frontier = kids[child_ptr[group] : child_ptr[group + 1]]
+        budget = relaxed
+        while budget and frontier:
+            if len(frontier) == 1:
+                densest = frontier.pop()
+            else:
+                densest = max(frontier, key=density)
+                frontier.remove(densest)
+            owner[densest] = group
+            frontier.extend(kids[child_ptr[densest] : child_ptr[densest + 1]])
+            budget -= 1
+    return owner

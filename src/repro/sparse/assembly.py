@@ -155,31 +155,28 @@ def assembly_tree_from_etree(amalgamated: AmalgamatedTree) -> Tree:
     ``f = (mu - 1)^2``; roots of the forest are attached to an artificial
     zero-weight super-root ``-1`` and keep ``f = 0`` (the factor columns of a
     root are written directly to secondary storage, outside the I/O model).
+
+    The nodes are laid out in depth-first preorder, largest child first, and
+    bulk-built with :meth:`Tree.from_parents`; the weights are checked when
+    the tree's kernel is built.
     """
+    supernodes = amalgamated.supernodes
     parent = amalgamated.parent
-    roots = [s for s in range(amalgamated.size) if parent[s] < 0]
-    tree = Tree()
-    single_root = len(roots) == 1
-
-    def weights(index: int, is_root: bool):
-        sn = amalgamated.supernodes[index]
-        f = 0.0 if is_root else sn.edge_weight
-        return f, sn.node_weight
-
     children = amalgamated.children()
-    if single_root:
-        root = roots[0]
-        f, nw = weights(root, True)
-        tree.add_node(root, f=f, n=nw)
-        stack = [(c, root) for c in children[root]]
-    else:
-        tree.add_node(-1, f=0.0, n=0.0)
-        stack = [(r, -1) for r in roots]
+    roots = np.flatnonzero(parent < 0).tolist()
+    order = []
+    stack = list(roots)
     while stack:
-        node, par = stack.pop()
-        is_forest_root = par == -1 and not single_root
-        f, nw = weights(node, is_forest_root)
-        tree.add_node(node, parent=par, f=f, n=nw)
-        stack.extend((c, node) for c in children[node])
-    tree.validate()
-    return tree
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children[node])
+    forest = int(len(roots) != 1)  # a forest hangs below the super-root at 0
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(forest, len(order) + forest)
+    up = parent[order]
+    parents = np.where(up < 0, forest - 1, position[up]).tolist()
+    f = [supernodes[s].edge_weight if p >= 0 else 0.0 for s, p in zip(order, up.tolist())]
+    n = [supernodes[s].node_weight for s in order]
+    if forest:
+        order, parents, f, n = [-1] + order, [-1] + parents, [0.0] + f, [0.0] + n
+    return Tree.from_parents(parents, f, n, ids=order)

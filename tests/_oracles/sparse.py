@@ -1,13 +1,15 @@
-"""Per-entry reference implementations of the sparse symbolic layer.
+"""Per-entry reference implementations of the sparse layer.
 
-The original loops behind :mod:`repro.sparse`: Liu's elimination-tree
-construction one nonzero at a time, row-subtree climbs for the column
-counts, Python-set merges for the column patterns, a union-find for the
-perfect-amalgamation chains, and the fill-reducing orderings over
-numpy-scalar adjacency (minimum degree re-pushing stale heap entries,
-nested dissection ordering every leaf and separator through a scipy
-subgraph).  The library runs the vectorized and plain-int versions; the
-tests require bit-identical results.  The two reference orderings share
+The original loops behind :mod:`repro.sparse`: a line-by-line Matrix Market
+parser, Liu's elimination-tree construction one nonzero at a time,
+row-subtree climbs for the column counts, Python-set merges for the column
+patterns, a union-find for the perfect-amalgamation chains, a dict of
+member lists for the relaxed amalgamation, a per-node ``add_node`` build of
+the assembly tree, and the fill-reducing orderings over numpy-scalar
+adjacency (minimum degree re-pushing stale heap entries, nested dissection
+ordering every leaf and separator through a scipy subgraph).  The library
+runs SciPy's compiled reader and the vectorized and plain-int versions; the
+tests require identical results.  The two reference orderings share
 nothing with the code under test but
 :func:`~repro.sparse.graph.symmetrized_pattern`.
 """
@@ -15,13 +17,15 @@ nothing with the code under test but
 from __future__ import annotations
 
 import heapq
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.amalgamation import AmalgamatedTree, _supernodes
-from repro.sparse.assembly import AssemblyTreeResult, assembly_tree_from_etree
+from repro.core.tree import Tree
+from repro.sparse.amalgamation import AmalgamatedTree, Supernode
+from repro.sparse.assembly import AssemblyTreeResult
 from repro.sparse.etree import etree_children, etree_postorder
 from repro.sparse.graph import symmetrized_pattern
 from repro.sparse.ordering import apply_ordering, natural_ordering, rcm_ordering
@@ -29,6 +33,7 @@ from repro.sparse.symbolic import SymbolicStats
 from repro.sparse.symbolic import symbolic_stats as _stats_from_counts
 
 __all__ = [
+    "read_matrix_market",
     "adjacency_lists",
     "bfs_levels",
     "pseudo_peripheral_vertex",
@@ -40,8 +45,73 @@ __all__ = [
     "column_patterns",
     "symbolic_stats",
     "amalgamate",
+    "assembly_tree_from_etree",
     "build_assembly_tree",
 ]
+
+
+def read_matrix_market(path: Union[str, Path]) -> sp.csc_matrix:
+    """Line-by-line Matrix Market coordinate parser.
+
+    Lower-cases the header, skips blank and ``%`` lines anywhere, and
+    mirrors (skew-)symmetric files by a sparse addition, which drops the
+    stored zeros of such files.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as handle:
+        header = handle.readline().strip().lower().split()
+        if len(header) < 5 or header[0] != "%%matrixmarket" or header[1] != "matrix":
+            raise ValueError(f"{path}: not a Matrix Market matrix file")
+        fmt, field, symmetry = header[2], header[3], header[4]
+        if fmt != "coordinate":
+            raise ValueError(f"{path}: only coordinate format is supported")
+        if field not in ("real", "integer", "pattern"):
+            raise ValueError(f"{path}: unsupported field {field!r}")
+        if symmetry not in ("general", "symmetric", "skew-symmetric"):
+            raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
+
+        line = handle.readline()
+        while line.startswith("%") or not line.strip():
+            line = handle.readline()
+        n_rows, n_cols, nnz = (int(tok) for tok in line.split())
+
+        rows = np.empty(nnz, dtype=np.int64)
+        cols = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz, dtype=np.float64)
+        count = 0
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("%"):
+                continue
+            if count >= nnz:
+                raise ValueError(
+                    f"{path}: more entries than the declared {nnz}"
+                )
+            parts = line.split()
+            rows[count] = int(parts[0]) - 1
+            cols[count] = int(parts[1]) - 1
+            vals[count] = 1.0 if field == "pattern" else float(parts[2])
+            count += 1
+        if count != nnz:
+            raise ValueError(f"{path}: expected {nnz} entries, found {count}")
+
+    if symmetry == "skew-symmetric":
+        bad = (rows == cols) & (vals != 0.0)
+        if np.any(bad):
+            raise ValueError(
+                f"{path}: skew-symmetric file stores {int(bad.sum())} nonzero "
+                f"diagonal entries (a_ii = -a_ii forces a zero diagonal)"
+            )
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    if symmetry in ("symmetric", "skew-symmetric"):
+        off_diag = rows != cols
+        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
+        mirror = sp.coo_matrix(
+            (sign * vals[off_diag], (cols[off_diag], rows[off_diag])),
+            shape=(n_rows, n_cols),
+        )
+        matrix = matrix + mirror
+    return sp.csc_matrix(matrix)
 
 
 def adjacency_lists(pattern: sp.spmatrix) -> List[np.ndarray]:
@@ -359,14 +429,14 @@ def amalgamate(
     relaxed: int = 1,
     perfect: bool = True,
 ) -> AmalgamatedTree:
-    """Supernodes from union-find perfect chains (the relaxed phase is the
-    library's, which is shared and order-independent)."""
+    """Supernodes from union-find perfect chains and a dict-of-lists relaxed
+    sweep."""
     parent = np.asarray(parent, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.size != parent.size:
         raise ValueError("parent and counts must have the same length")
     leader = _reference_perfect_leaders(parent, counts, perfect)
-    return _supernodes(parent, counts, leader, relaxed)
+    return _reference_supernodes(parent, counts, leader, relaxed)
 
 
 def _reference_perfect_leaders(
@@ -395,6 +465,112 @@ def _reference_perfect_leaders(
             if len(children[p]) == 1 and counts[p] == counts[v] - 1:
                 leader[find(v)] = find(p)
     return np.asarray([find(v) for v in range(n)], dtype=np.int64)
+
+
+def _reference_supernodes(
+    parent: np.ndarray, counts: np.ndarray, leader: np.ndarray, relaxed: int
+) -> AmalgamatedTree:
+    """Quotient tree over dicts of member lists, relaxed top-down from the
+    roots, one densest-child absorption at a time."""
+    n = parent.size
+    groups: Dict[int, List[int]] = {}
+    for v, rep in enumerate(leader.tolist()):
+        groups.setdefault(rep, []).append(v)
+
+    def quotient_parent(rep: int) -> int:
+        top = max(groups[rep])  # topmost member: largest column index
+        p = int(parent[top])
+        return -1 if p < 0 else int(leader[p])
+
+    if relaxed > 0:
+        qparent: Dict[int, int] = {rep: quotient_parent(rep) for rep in groups}
+        qchildren: Dict[int, List[int]] = {rep: [] for rep in groups}
+        for rep, qp in qparent.items():
+            if qp >= 0:
+                qchildren[qp].append(rep)
+        roots = [rep for rep, qp in qparent.items() if qp < 0]
+        stack = list(roots)
+        budget = {rep: relaxed for rep in groups}
+        while stack:
+            rep = stack.pop()
+            while budget[rep] > 0 and qchildren[rep]:
+                densest = max(
+                    qchildren[rep], key=lambda c: (int(counts[max(groups[c])]), c)
+                )
+                qchildren[rep].remove(densest)
+                groups[rep].extend(groups[densest])
+                for grandchild in qchildren.pop(densest):
+                    qparent[grandchild] = rep
+                    qchildren[rep].append(grandchild)
+                del groups[densest]
+                del qparent[densest]
+                budget[rep] -= 1
+            stack.extend(qchildren[rep])
+        final_parent_of = qparent
+    else:
+        final_parent_of = {rep: quotient_parent(rep) for rep in groups}
+
+    reps = sorted(groups)
+    index_of = {rep: i for i, rep in enumerate(reps)}
+    supernodes: List[Supernode] = []
+    column_to_supernode = np.empty(n, dtype=np.int64)
+    for rep in reps:
+        members = tuple(sorted(groups[rep]))
+        top = members[-1]
+        sn = Supernode(
+            index=index_of[rep],
+            members=members,
+            representative=int(top),
+            eta=len(members),
+            mu=int(counts[top]),
+        )
+        supernodes.append(sn)
+        for m in members:
+            column_to_supernode[m] = sn.index
+
+    sn_parent = np.full(len(reps), -1, dtype=np.int64)
+    for rep in reps:
+        qp = final_parent_of[rep]
+        if qp >= 0:
+            sn_parent[index_of[rep]] = index_of[qp]
+
+    return AmalgamatedTree(
+        supernodes=tuple(supernodes),
+        parent=sn_parent,
+        column_to_supernode=column_to_supernode,
+    )
+
+
+def assembly_tree_from_etree(amalgamated: AmalgamatedTree) -> Tree:
+    """The weighted assembly tree, one ``add_node`` per supernode in
+    depth-first order (largest child first), then ``validate()``."""
+    parent = amalgamated.parent
+    roots = [s for s in range(amalgamated.size) if parent[s] < 0]
+    tree = Tree()
+    single_root = len(roots) == 1
+
+    def weights(index: int, is_root: bool):
+        sn = amalgamated.supernodes[index]
+        f = 0.0 if is_root else sn.edge_weight
+        return f, sn.node_weight
+
+    children = amalgamated.children()
+    if single_root:
+        root = roots[0]
+        f, nw = weights(root, True)
+        tree.add_node(root, f=f, n=nw)
+        stack = [(c, root) for c in children[root]]
+    else:
+        tree.add_node(-1, f=0.0, n=0.0)
+        stack = [(r, -1) for r in roots]
+    while stack:
+        node, par = stack.pop()
+        is_forest_root = par == -1 and not single_root
+        f, nw = weights(node, is_forest_root)
+        tree.add_node(node, parent=par, f=f, n=nw)
+        stack.extend((c, node) for c in children[node])
+    tree.validate()
+    return tree
 
 
 def build_assembly_tree(

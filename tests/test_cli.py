@@ -150,6 +150,12 @@ class TestPipelineCommand:
         bad.write_text("not a matrix\n")
         assert main(["pipeline", "--mtx", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+        # a bad entry names the file and the line (it used to print only
+        # "error: axis 0 index 2 exceeds matrix dimension 2")
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
+        assert main(["pipeline", "--mtx", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.mtx" in err and "ine 3" in err
 
     def test_rectangular_mtx_reports_error(self, tmp_path, capsys):
         rect = tmp_path / "rect.mtx"

@@ -48,19 +48,21 @@ class TestSymmetrizedPattern:
 
     def test_explicit_zero_matrix_market_regression(self):
         # the same crash, reproduced through a MatrixMarket file that stores
-        # an explicit zero entry (as collection files routinely do)
+        # an explicit zero entry (as collection files routinely do), in
+        # general and in symmetric storage
         from pathlib import Path
 
         from repro.sparse.mmio import read_matrix_market
 
-        path = Path(__file__).parent / "data" / "explicit_zero.mtx"
-        matrix = read_matrix_market(path)
-        assert matrix.nnz > np.count_nonzero(matrix.toarray())
-        pattern = symmetrized_pattern(matrix)
-        dense = pattern.toarray()
-        assert dense[3, 1] == 1.0 and dense[1, 3] == 1.0
-        assert np.array_equal(dense, dense.T)
-        assert np.all(np.diag(dense) == 1.0)
+        for name in ("explicit_zero.mtx", "explicit_zero_symmetric.mtx"):
+            path = Path(__file__).parent / "data" / name
+            matrix = read_matrix_market(path)
+            assert matrix.nnz > np.count_nonzero(matrix.toarray()), name
+            pattern = symmetrized_pattern(matrix)
+            dense = pattern.toarray()
+            assert dense[3, 1] == 1.0 and dense[1, 3] == 1.0, name
+            assert np.array_equal(dense, dense.T)
+            assert np.all(np.diag(dense) == 1.0)
 
 
 class TestAdjacencyAndComponents:

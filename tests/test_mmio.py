@@ -1,5 +1,7 @@
 """Unit tests for the Matrix Market reader/writer."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -63,6 +65,16 @@ class TestFormats:
         a = read_matrix_market(path)
         assert a[1, 0] == -1.0
         assert a[0, 0] == 4.0
+        # comments may only precede the size line; one between entries used
+        # to be skipped
+        body = tmp_path / "bodycomment.mtx"
+        body.write_text(
+            "%%MatrixMarket matrix coordinate integer general\n"
+            "2 2 2\n"
+            "1 1 4\n% a comment between entries\n2 2 5\n"
+        )
+        with pytest.raises(ValueError, match=r"bodycomment\.mtx"):
+            read_matrix_market(body)
 
     def test_skew_symmetric(self, tmp_path):
         path = tmp_path / "skew.mtx"
@@ -75,10 +87,16 @@ class TestFormats:
         assert a[1, 0] == 3.0 and a[0, 1] == -3.0
 
     def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("not a matrix market file\n1 1 1\n1 1 1\n")
-        with pytest.raises(ValueError):
-            read_matrix_market(path)
+        # the banner is case-sensitive, as in scipy.io.mmread and the
+        # reference mmio.c; a lower-case banner used to be accepted
+        for name, banner in (
+            ("bad.mtx", "not a matrix market file"),
+            ("lowercase.mtx", "%%matrixmarket matrix coordinate real general"),
+        ):
+            path = tmp_path / name
+            path.write_text(f"{banner}\n1 1 1\n1 1 1\n")
+            with pytest.raises(ValueError, match=re.escape(name)):
+                read_matrix_market(path)
 
     def test_rejects_array_format(self, tmp_path):
         path = tmp_path / "arr.mtx"
@@ -101,6 +119,16 @@ class TestFormats:
             "1 1 1.0\n2 2 2.0\n2 1 3.0\n"
         )
         with pytest.raises(ValueError, match="overlong.mtx"):
+            read_matrix_market(path)
+        # an out-of-range row index used to surface as scipy.sparse's "axis 0
+        # index 2 exceeds matrix dimension 2", naming neither file nor line
+        path = tmp_path / "outofrange.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 1\n"
+            "3 1 1.0\n"
+        )
+        with pytest.raises(ValueError, match=r"outofrange\.mtx: .*[Ll]ine 3"):
             read_matrix_market(path)
 
     def test_rejects_nonzero_skew_diagonal(self, tmp_path):
@@ -127,8 +155,14 @@ class TestFormats:
     def test_reads_explicit_zero_fixture(self):
         from pathlib import Path
 
-        path = Path(__file__).parent / "data" / "explicit_zero.mtx"
-        a = read_matrix_market(path)
-        assert a.shape == (4, 4)
-        # the explicitly stored zero at (4, 2) survives the round trip
-        assert a.nnz > np.count_nonzero(a.toarray())
+        data = Path(__file__).parent / "data"
+        general = read_matrix_market(data / "explicit_zero.mtx")
+        for name in ("explicit_zero.mtx", "explicit_zero_symmetric.mtx"):
+            a = read_matrix_market(data / name)
+            assert a.shape == (4, 4)
+            # the explicitly stored zero at (4, 2) survives the round trip,
+            # and the symmetric twin mirrors it to (2, 4) like any entry
+            assert a.nnz > np.count_nonzero(a.toarray()), name
+            assert np.array_equal(a.indptr, general.indptr), name
+            assert np.array_equal(a.indices, general.indices), name
+            assert np.array_equal(a.data, general.data), name
