@@ -27,6 +27,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .etree import _children_csr
+
 __all__ = ["Supernode", "AmalgamatedTree", "amalgamate"]
 
 
@@ -245,11 +247,8 @@ def _relax(qparent: np.ndarray, top_counts: np.ndarray, relaxed: int) -> List[in
     absorbed.  Density orders by the top's column count, then by the top.
     """
     m = qparent.size
-    child = qparent >= 0
-    child_ptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(qparent[child], minlength=m)))
-    ).tolist()
-    kids = np.flatnonzero(child)[np.argsort(qparent[child], kind="stable")].tolist()
+    child_ptr_a, kids_a, _ = _children_csr(qparent)
+    child_ptr, kids = child_ptr_a.tolist(), kids_a.tolist()
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(top_counts, kind="stable")] = np.arange(m)
     density = rank.tolist().__getitem__

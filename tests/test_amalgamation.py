@@ -112,10 +112,8 @@ class TestWeightsAndStructure:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             amalgamate([1, -1], [1], relaxed=0)
-        # parent arrays not labelled like an elimination tree (every entry -1
-        # or j < parent[j] < n) used to return wrong supernodes: a self-loop
-        # parent [0] whose assembly tree lost the supernode, and a root
-        # weighted with mu 3 instead of its own column's 2
+        # a parent array must be labelled like an elimination tree: every
+        # entry -1 or j < parent[j] < n
         for parent, counts in (([-1, 0], [1, 2]), ([-1, 0, 0], [2, 3, 3]), ([5, -1], [2, 1])):
             with pytest.raises(ValueError, match="elimination-tree"):
                 amalgamate(parent, counts, relaxed=1)

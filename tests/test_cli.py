@@ -150,8 +150,7 @@ class TestPipelineCommand:
         bad.write_text("not a matrix\n")
         assert main(["pipeline", "--mtx", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
-        # a bad entry names the file and the line (it used to print only
-        # "error: axis 0 index 2 exceeds matrix dimension 2")
+        # a bad entry names the file and the line
         bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
         assert main(["pipeline", "--mtx", str(bad)]) == 1
         err = capsys.readouterr().err

@@ -65,8 +65,7 @@ class TestFormats:
         a = read_matrix_market(path)
         assert a[1, 0] == -1.0
         assert a[0, 0] == 4.0
-        # comments may only precede the size line; one between entries used
-        # to be skipped
+        # comments may only precede the size line
         body = tmp_path / "bodycomment.mtx"
         body.write_text(
             "%%MatrixMarket matrix coordinate integer general\n"
@@ -88,7 +87,7 @@ class TestFormats:
 
     def test_rejects_bad_header(self, tmp_path):
         # the banner is case-sensitive, as in scipy.io.mmread and the
-        # reference mmio.c; a lower-case banner used to be accepted
+        # reference mmio.c
         for name, banner in (
             ("bad.mtx", "not a matrix market file"),
             ("lowercase.mtx", "%%matrixmarket matrix coordinate real general"),
@@ -120,8 +119,7 @@ class TestFormats:
         )
         with pytest.raises(ValueError, match="overlong.mtx"):
             read_matrix_market(path)
-        # an out-of-range row index used to surface as scipy.sparse's "axis 0
-        # index 2 exceeds matrix dimension 2", naming neither file nor line
+        # an out-of-range row index names the file and the line
         path = tmp_path / "outofrange.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real general\n"
@@ -130,6 +128,71 @@ class TestFormats:
         )
         with pytest.raises(ValueError, match=r"outofrange\.mtx: .*[Ll]ine 3"):
             read_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [
+            ("real", "+1 +1 +1.5"),
+            ("real", "1 1 1e+2"),
+            ("real", "1 1 -.5E-1"),
+            ("real", "1 1 5."),
+            ("real", "1 1 1e400"),
+            ("real", "1 1 1.5 % tokens after the value are ignored"),
+            ("integer", "1 1 1e3"),
+            ("integer", "1 1 1.5"),
+            ("integer", "1 1 +7"),
+            ("integer", "1 1 -123456789012345678901234567890"),
+        ],
+    )
+    def test_reads_numerals_as_python_float_does(self, tmp_path, field, entry):
+        # SciPy's reader alone refuses a leading "+", truncates an integer
+        # field's "1e3" and "1.5" to 1 and refuses integers beyond int64
+        path = tmp_path / "numeral.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} general\n+1 1 +1\n{entry}\n")
+        a = read_matrix_market(path)
+        assert a.shape == (1, 1) and a.nnz == 1
+        assert a.data[0] == float(entry.split()[2])
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [
+            # refused by int and float as well; SciPy's reader alone takes
+            # the longest numeral prefix and reads 0, 1.5, 1.5, 1.2, 1 and 1
+            ("real", "1 1 0x10"),
+            ("real", "1 1 1.5d3"),
+            ("real", "1 1 1.5abc"),
+            ("real", "1 1 1.2.3"),
+            ("real", "1 1 1e"),
+            ("real", "1 1 1-2"),
+            # a column glued to a value: SciPy alone reads column 1 holding 0.0
+            ("real", "1 1.0 7"),
+            ("pattern", "1 1.5"),
+            # read by int and float, refused here
+            ("real", "1 1 1_0"),
+            ("real", "1 1 nan"),
+            ("real", "1 1 -inf"),
+            ("real", "\u0661 1 1.5"),
+            ("real", "1\x0b1 1.5"),
+            ("real", "1 1 1.5\xa0"),
+        ],
+    )
+    def test_rejects_malformed_numerals(self, tmp_path, field, entry):
+        path = tmp_path / "malformed.mtx"
+        path.write_bytes(
+            f"%%MatrixMarket matrix coordinate {field} general\n2 2 1\n{entry}\n".encode()
+        )
+        with pytest.raises(ValueError, match=r"malformed\.mtx: line 3"):
+            read_matrix_market(path)
+
+    def test_rejects_malformed_size_line_and_bare_carriage_return(self, tmp_path):
+        for name, text in (
+            ("size.mtx", "++2 2 1\n1 1 1.0\n"),
+            ("bare_cr.mtx", "2 2 2\n1 1 1.0\r2 2 2.0\n"),
+        ):
+            path = tmp_path / name
+            path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n" + text.encode())
+            with pytest.raises(ValueError, match=re.escape(name) + ": line [23]"):
+                read_matrix_market(path)
 
     def test_rejects_nonzero_skew_diagonal(self, tmp_path):
         # a_ii = -a_ii forces a zero diagonal; nonzero entries were silently kept
