@@ -18,15 +18,15 @@ On top of the representation this module implements the explicit-stack,
 array-based versions of every hot path:
 
 * :func:`kernel_postorder` -- Liu's optimal postorder (and the two naive
-  child-ordering rules) by a single bottom-up sweep;
-* :func:`kernel_liu` -- Liu's exact hill--valley algorithm with the segment
-  merge running on plain float tuples;
+  child-ordering rules) by a single bottom-up sweep; the chosen child
+  order is one flat copy of ``child_idx``, sorted slice by slice;
+* :func:`kernel_liu` -- Liu's exact hill--valley algorithm; node sequences
+  are linked lists over node indices, and each segment, named by its first
+  node, is a set of entries in flat per-node lists;
 * :class:`KernelExploreSolver` / :func:`kernel_min_mem` -- the paper's
   Explore/MinMem pair as one loop over an explicit stack of ints and
   floats, entered at the root, whose partial traversals are linked lists
-  over node indices.  A solve makes at least one ``Explore`` call per
-  node; a generator per call and a list or tuple kept per node made
-  garbage collection half of MinMem's time on a 100k-node chain;
+  over node indices and whose one-entry cuts are tuples;
 * :func:`kernel_replay_traversal` / :func:`kernel_replay_schedule` -- the
   replay engine's peak-memory/IO recomputation on index arrays;
 * :func:`kernel_out_of_core` -- the MinIO eviction simulator with an
@@ -35,6 +35,11 @@ array-based versions of every hot path:
 Nothing here recurses: every sweep is an explicit loop or an explicit stack,
 so 100k-node chains are as safe as balanced trees.  The original per-node,
 dict-based implementations live on in the test suite as oracles.
+
+No in-core kernel keeps a container per node through a solve.  A list kept
+per node survives every young collection and is promoted, so on a
+100k-node tree it would set off several full collections per solve, each
+walking all of those lists.
 
 A kernel is built once per tree -- :meth:`Tree.kernel()
 <repro.core.tree.Tree.kernel>` caches it and invalidates the cache on
@@ -59,7 +64,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 __all__ = [
     "TreeKernel",
     "KernelExploreSolver",
-    "flatten_chunks",
     "kernel_postorder",
     "kernel_liu",
     "kernel_min_mem",
@@ -68,23 +72,6 @@ __all__ = [
     "kernel_out_of_core",
 ]
 
-
-def flatten_chunks(nested) -> List[int]:
-    """Flatten nested tuple chunks of node indices (explicit stack).
-
-    The Liu kernel accumulates traversals as nested tuples whose nesting
-    depth can reach the tree depth; this flattener is iterative so deep
-    chains cannot overflow the interpreter stack.
-    """
-    out: List[int] = []
-    stack: List = [nested]
-    while stack:
-        item = stack.pop()
-        if type(item) is tuple:
-            stack.extend(reversed(item))
-        else:
-            out.append(item)
-    return out
 
 NodeId = Hashable
 
@@ -427,7 +414,7 @@ class TreeKernel:
 # ----------------------------------------------------------------------
 def kernel_postorder(
     kern: TreeKernel, rule: str = "liu"
-) -> Tuple[float, List[int], List[float], List[List[int]]]:
+) -> Tuple[float, List[int], List[float], List[int]]:
     """Memory-optimal (or ablation-rule) postorder on the kernel.
 
     Parameters
@@ -443,28 +430,31 @@ def kernel_postorder(
     -------
     (memory, order, subtree_peak, child_order)
         Peak memory, the bottom-up node order (indices), the per-node
-        subtree peaks, and the chosen child permutation per node.
+        subtree peaks, and the chosen child order in the kernel's CSR
+        layout: the children of node ``i``, in processing order, are
+        ``child_order[child_ptr[i]:child_ptr[i + 1]]``.
     """
     p = kern.size
     f = kern.f
     n = kern.n
     child_ptr = kern.child_ptr
-    child_idx = kern.child_idx
     peak = [0.0] * p
-    child_order: List[List[int]] = [[]] * p
+    # one flat copy of child_idx, sorted slice by slice: no list per node
+    kids = list(kern.child_idx)
 
     for v in range(p - 1, -1, -1):
         lo, hi = child_ptr[v], child_ptr[v + 1]
         if lo == hi:
             peak[v] = f[v] + n[v]
             continue
-        children = child_idx[lo:hi]
+        children = kids[lo:hi]  # a temporary, dropped at the next node
         if hi - lo > 1:  # singleton child lists need no ordering rule
             if rule == "liu":
                 children.sort(key=lambda c: peak[c] - f[c], reverse=True)
+                kids[lo:hi] = children
             elif rule == "subtree_memory":
                 children.sort(key=lambda c: peak[c])
-        child_order[v] = children
+                kids[lo:hi] = children
         completed = 0.0
         best = 0.0
         for c in children:
@@ -475,11 +465,11 @@ def kernel_postorder(
         cand = completed + n[v] + f[v]
         peak[v] = cand if cand > best else best
 
-    return peak[0], _emit_postorder(child_order), peak, child_order
+    return peak[0], _emit_postorder(child_ptr, kids), peak, kids
 
 
-def _emit_postorder(child_order: List[List[int]]) -> List[int]:
-    """Bottom-up DFS following ``child_order`` (explicit stack)."""
+def _emit_postorder(child_ptr: List[int], kids: List[int]) -> List[int]:
+    """Bottom-up DFS following the CSR child order ``kids`` (explicit stack)."""
     order: List[int] = []
     append = order.append
     stack: List[int] = [0]
@@ -490,48 +480,70 @@ def _emit_postorder(child_order: List[List[int]]) -> List[int]:
             append(~v)
             continue
         stack.append(~v)
-        for c in reversed(child_order[v]):
-            stack.append(c)
+        lo, hi = child_ptr[v], child_ptr[v + 1]
+        if hi - lo == 1:
+            stack.append(kids[lo])
+        elif hi > lo:
+            stack.extend(reversed(kids[lo:hi]))
     return order
 
 
 # ----------------------------------------------------------------------
-# Liu's exact algorithm: hill--valley segment merge on float tuples
+# Liu's exact algorithm: hill--valley segment merge on linked index lists
 # ----------------------------------------------------------------------
 def kernel_liu(
     kern: TreeKernel,
-) -> Tuple[float, List[int], List[float], List[Tuple[float, float, tuple]]]:
+) -> Tuple[float, List[int], List[float], List[Tuple[float, float, List[int]]]]:
     """Liu's exact MinMemory algorithm on the kernel.
 
-    A faithful port of :func:`repro.core.liu.liu_optimal_traversal`: per
-    subtree the canonical hill--valley representation is kept as plain
-    ``(hill, valley, nodes)`` tuples, children segments are interleaved in
-    decreasing ``hill - valley`` order (stable on ties), and the profile is
-    re-cut by one backward plus one forward sweep.
+    A faithful port of the per-node algorithm the tests keep as an oracle:
+    per subtree the canonical hill--valley representation is kept, children
+    segments are interleaved in decreasing ``hill - valley`` order (stable
+    on ties), and the profile is re-cut by one backward plus one forward
+    sweep.
+
+    The sweep keeps no container per node, only entries of flat lists:
+
+    * node sequences are singly linked lists over node indices (``nxt``),
+      as in MinMem's traversals, so joining two sequences is O(1);
+    * a segment is named by its first node.  Its hill, valley, last node
+      and the following segment of the same subtree are the entries of
+      ``hill``, ``valley``, ``last`` and ``seg_next`` at that name, and
+      ``head[v]`` names the first segment of a finished subtree ``v``.
+
+    The events of one merge live in temporary lists made for that node.
 
     Returns
     -------
     (memory, order, subtree_peak, root_segments)
         The optimal memory, an optimal bottom-up order (indices), the
         optimal peak of every subtree, and the root's canonical segments as
-        ``(hill, valley, nested_chunks)`` tuples (chunks hold node indices;
-        flatten with :func:`repro.core.liu.flatten_nodes`).
+        ``(hill, valley, nodes)`` tuples, ``nodes`` a flat list of node
+        indices.
     """
     p = kern.size
     f = kern.f
     n = kern.n
     child_ptr = kern.child_ptr
     child_idx = kern.child_idx
-    segments_of: List[Optional[List[Tuple[float, float, tuple]]]] = [None] * p
+    nxt = [-1] * p
+    hill = [0.0] * p
+    valley = [0.0] * p
+    last = [0] * p
+    seg_next = [-1] * p
+    head = [0] * p
     subtree_peak = [0.0] * p
 
     for v in range(p - 1, -1, -1):
         lo, hi = child_ptr[v], child_ptr[v + 1]
         fv = f[v]
+        last[v] = v
         if lo == hi:
             # leaf: a single segment, no merge and no re-cut needed
             peak0 = fv + n[v]
-            segments_of[v] = [(peak0, fv, (v,))]
+            hill[v] = peak0
+            valley[v] = fv
+            head[v] = v
             subtree_peak[v] = peak0
             continue
         if hi - lo == 1:
@@ -539,89 +551,145 @@ def kernel_liu(
             # already has non-increasing hill - valley), and converting to
             # relative increments and re-basing reproduces the absolute
             # levels, so the child's segments ARE the events
-            child = child_idx[lo]
-            events = segments_of[child]
-            segments_of[child] = None  # merged; free the memory
-            base = events[-1][1]
+            s = head[child_idx[lo]]
+            if seg_next[s] < 0 and valley[s] >= fv:
+                # one segment ending no lower than fv: v extends it (chains)
+                own_peak = valley[s] + n[v] + fv
+                h = hill[s]
+                if own_peak > h:
+                    h = own_peak
+                nxt[last[s]] = v
+                hill[s] = h
+                valley[s] = fv
+                last[s] = v
+                head[v] = s
+                subtree_peak[v] = h
+                continue
+            peaks: List[float] = []
+            levels: List[float] = []
+            firsts: List[int] = []
+            while s >= 0:
+                peaks.append(hill[s])
+                levels.append(valley[s])
+                firsts.append(s)
+                s = seg_next[s]
+            base = levels[-1]
         else:
-            keyed: List[Tuple[float, int, int, float, float, tuple]] = []
+            keys: List[float] = []
+            rel_hill: List[float] = []
+            rel_valley: List[float] = []
+            names: List[int] = []
             for child_pos in range(lo, hi):
-                child = child_idx[child_pos]
+                s = head[child_idx[child_pos]]
                 prev_valley = 0.0
-                segs = segments_of[child]
-                for seg_idx, (hill, valley, nodes) in enumerate(segs):
-                    keyed.append(
-                        (
-                            valley - hill,  # == -(hill - valley)
-                            child_pos,
-                            seg_idx,
-                            hill - prev_valley,
-                            valley - prev_valley,
-                            nodes,
-                        )
-                    )
-                    prev_valley = valley
-                segments_of[child] = None  # merged; free the memory
-            keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-            events = []
+                while s >= 0:
+                    h = hill[s]
+                    w = valley[s]
+                    keys.append(w - h)  # == -(hill - valley)
+                    rel_hill.append(h - prev_valley)
+                    rel_valley.append(w - prev_valley)
+                    names.append(s)
+                    prev_valley = w
+                    s = seg_next[s]
+            # a stable sort on the key alone keeps ties in (child, segment)
+            # order
+            peaks = []
+            levels = []
+            firsts = []
             base = 0.0
-            for _, _, _, rel_hill, rel_valley, nodes in keyed:
-                events.append((base + rel_hill, base + rel_valley, nodes))
-                base += rel_valley
+            for t in sorted(range(len(keys)), key=keys.__getitem__):
+                peaks.append(base + rel_hill[t])
+                levels.append(base + rel_valley[t])
+                firsts.append(names[t])
+                base += rel_valley[t]
         own_peak = base + n[v] + fv
-        events.append((own_peak, fv, (v,)))
+        peaks.append(own_peak)
+        levels.append(fv)
+        firsts.append(v)
+        # join the events' node sequences in execution order
+        for t in range(1, len(firsts)):
+            nxt[last[firsts[t - 1]]] = firsts[t]
         # The profile collapses into a single segment whenever the final
         # residual fv is the minimum over all events (the suffix-minimum cut
-        # lands on the last event); that covers chains and most assembly
-        # nodes, and skips the O(events) array bookkeeping of _canonical.
+        # lands on the last event); that covers most assembly nodes, and
+        # skips the O(events) array bookkeeping of _canonical.
         max_hill = own_peak
         single = True
-        for hill, valley, _ in events:
-            if valley < fv:
+        for h, w in zip(peaks, levels):
+            if w < fv:
                 single = False
                 break
-            if hill > max_hill:
-                max_hill = hill
+            if h > max_hill:
+                max_hill = h
         if single:
-            segs = [(max_hill, fv, tuple(nodes for _, _, nodes in events))]
-        else:
-            segs = _canonical(events)
-        segments_of[v] = segs
-        subtree_peak[v] = segs[0][0]  # canonical hills are non-increasing
+            s = firsts[0]
+            hill[s] = max_hill
+            valley[s] = fv
+            last[s] = v
+            seg_next[s] = -1
+            head[v] = s
+            subtree_peak[v] = max_hill
+            continue
+        ends, hills = _canonical(peaks, levels)
+        # segment k spans events start..ends[k]; read each segment's last
+        # node before its name's entries are overwritten
+        start = 0
+        for k, end in enumerate(ends):
+            s = firsts[start]
+            last[s] = last[firsts[end]]
+            hill[s] = hills[k]
+            valley[s] = levels[end]
+            seg_next[s] = firsts[end + 1] if end + 1 < len(firsts) else -1
+            start = end + 1
+        head[v] = firsts[0]
+        subtree_peak[v] = hills[0]  # canonical hills are non-increasing
 
-    root_segments = segments_of[0]
-    assert root_segments is not None
     order: List[int] = []
-    for _, _, nodes in root_segments:
-        order.extend(flatten_chunks(nodes))
+    root_segments: List[Tuple[float, float, List[int]]] = []
+    s = head[0]
+    while s >= 0:
+        start = len(order)
+        v = s
+        end = last[s]
+        order.append(v)
+        while v != end:
+            v = nxt[v]
+            order.append(v)
+        root_segments.append((hill[s], valley[s], order[start:]))
+        s = seg_next[s]
     return subtree_peak[0], order, subtree_peak, root_segments
 
 
 def _canonical(
-    events: List[Tuple[float, float, tuple]],
-) -> List[Tuple[float, float, tuple]]:
+    peaks: List[float], levels: List[float]
+) -> Tuple[List[int], List[float]]:
     """Cut an event profile into its canonical hill--valley representation.
 
-    ``events`` is a list of ``(peak_during, level_after, nodes)`` triples in
-    execution order.  Each segment starts where the previous one ended,
-    peaks at the maximum remaining peak and is cut at the *last* position
-    achieving the minimum residual level reached at or after that peak.
-    This yields non-increasing hills and non-decreasing valleys, and packs
-    runs of events with identical residual levels into a single segment
-    (interrupting such a run cannot help a parent).  One backward sweep
-    computes the suffix maxima/minima, one forward sweep the cuts.
+    Event ``t`` peaks at ``peaks[t]`` and leaves ``levels[t]`` resident,
+    events in execution order.  Each segment starts where the previous one
+    ended, peaks at the maximum remaining peak and is cut at the *last*
+    position achieving the minimum residual level reached at or after that
+    peak.  This yields non-increasing hills and non-decreasing valleys, and
+    packs runs of events with identical residual levels into a single
+    segment (interrupting such a run cannot help a parent).  One backward
+    sweep computes the suffix maxima/minima, one forward sweep the cuts.
+
+    Returns
+    -------
+    (ends, hills)
+        The last event of every segment and the segment's hill; its valley
+        is ``levels[end]``.
     """
-    n_events = len(events)
+    n_events = len(levels)
     first_max = [0] * n_events
     last_min = [0] * n_events
     suffix_max = [0.0] * n_events
     suffix_min = [0.0] * n_events
-    peak, level = events[-1][0], events[-1][1]
-    suffix_max[-1] = peak
-    suffix_min[-1] = level
+    suffix_max[-1] = peaks[-1]
+    suffix_min[-1] = levels[-1]
     first_max[-1] = last_min[-1] = n_events - 1
     for t in range(n_events - 2, -1, -1):
-        peak, level = events[t][0], events[t][1]
+        peak, level = peaks[t], levels[t]
         if peak >= suffix_max[t + 1]:
             suffix_max[t] = peak
             first_max[t] = t
@@ -635,19 +703,15 @@ def _canonical(
             suffix_min[t] = suffix_min[t + 1]
             last_min[t] = last_min[t + 1]
 
-    segments: List[Tuple[float, float, tuple]] = []
+    ends: List[int] = []
+    hills: List[float] = []
     start = 0
     while start < n_events:
-        valley_pos = last_min[first_max[start]]
-        segments.append(
-            (
-                suffix_max[start],
-                events[valley_pos][1],
-                tuple(events[t][2] for t in range(start, valley_pos + 1)),
-            )
-        )
-        start = valley_pos + 1
-    return segments
+        end = last_min[first_max[start]]
+        ends.append(end)
+        hills.append(suffix_max[start])
+        start = end + 1
+    return ends, hills
 
 
 # ----------------------------------------------------------------------
@@ -669,8 +733,9 @@ class KernelExploreSolver:
     the paper, generalised to every node.
 
     A solve makes at least one nested ``Explore`` call per node, so the
-    solver keeps nothing per call or per node that the garbage collector
-    would have to walk:
+    solver keeps nothing per call, and per node nothing the garbage
+    collector has to walk but one list for each node whose cut has two or
+    more entries:
 
     * the recursion is one loop over an explicit stack of parallel int and
       float lists -- no generator or frame object per call;
@@ -678,8 +743,17 @@ class KernelExploreSolver:
       indices: it starts at ``v``, follows ``_next`` and ends at
       ``_tail[v]``.  Executing ``v`` sets ``_tail[v] = v``; merging child
       ``j`` appends ``j``'s list to ``v``'s in O(1), without copying;
-    * a node's cut list belongs to its saved state and is updated in place;
-      a fully explored node saves the shared empty :data:`_DONE`.
+    * a cut with one entry is a 1-tuple, and a fully explored node (a leaf
+      among them) saves the shared empty :data:`_DONE`.  CPython stops
+      tracking a tuple that holds only ints at its first young collection,
+      and never stops tracking a list, so a chain's cuts are never
+      promoted.  A cut with two or more entries is a list that belongs to
+      the node's saved state and is updated in place.  A merge into a
+      1-tuple cut replaces that cut and writes the new one back to the
+      saved state: a tuple sub-cut is kept as it is, a list sub-cut is
+      copied, since it stays the child's saved state.  Rebuilding every cut
+      as a tuple on each merge instead would copy a star's whole cut per
+      leaf.
 
     A merged child's list is shared by reference, so re-exploring that
     child would rewrite its ancestor's traversal.  The solver is therefore
@@ -757,7 +831,11 @@ class KernelExploreSolver:
                 # the root itself cannot be executed (paper lines 3-5)
                 return inf, mem_req[0], 0.0
             # execute the root (paper lines 10-11)
-            cut = child_idx[child_ptr[0] : child_ptr[1]]
+            hi = child_ptr[1]  # the root's children start at 0
+            if hi > 1:
+                cut = child_idx[:hi]
+            else:
+                cut = (child_idx[0],) if hi else _DONE
             state_cut[0] = cut
             tail[0] = 0
             required = mem_req[0]
@@ -792,7 +870,12 @@ class KernelExploreSolver:
                         peak_of[j] = mem_req[j]
                         pos += 1
                         continue
-                    jcut = child_idx[child_ptr[j] : child_ptr[j + 1]]
+                    lo = child_ptr[j]
+                    hi = child_ptr[j + 1]
+                    if hi - lo > 1:
+                        jcut = child_idx[lo:hi]
+                    else:
+                        jcut = (child_idx[lo],) if hi > lo else _DONE
                     state_cut[j] = jcut
                     tail[j] = j
                     jrequired = mem_req[j]
@@ -848,7 +931,13 @@ class KernelExploreSolver:
             if resident <= fj + _EPS:
                 # merge the child's cut in place of the child (16-18)
                 sub_cut = state_cut[j]
-                cut[pos : pos + 1] = sub_cut
+                if type(cut) is tuple:
+                    # a one-entry cut is replaced: a tuple sub-cut is shared
+                    # as is, a list one copied, since it stays j's state
+                    cut = sub_cut if type(sub_cut) is tuple else list(sub_cut)
+                    state_cut[node] = cut
+                else:
+                    cut[pos : pos + 1] = sub_cut
                 pos += len(sub_cut)
                 rest = total - fj
                 total += resident - fj

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-from .kernel import TreeKernel, flatten_chunks, kernel_liu
+from .kernel import TreeKernel, kernel_liu
 from .traversal import BOTTOMUP, Traversal
 from .tree import Tree
 
@@ -39,9 +39,8 @@ class Segment:
     """One hill--valley segment of a subtree traversal.
 
     ``hill`` and ``valley`` are absolute memory levels within the subtree
-    (the subtree's own profile starts at level 0).  ``nodes`` is a *nested*
-    sequence of node chunks; use :func:`flatten_nodes` to obtain the flat
-    execution order.
+    (the subtree's own profile starts at level 0).  ``nodes`` is the flat
+    tuple of the node identifiers the segment executes, in order.
     """
 
     hill: float
@@ -71,20 +70,12 @@ class LiuResult:
     subtree_peak: Dict[NodeId, float]
 
 
-def _chunks_to_ids(nested: tuple, ids: Sequence[NodeId]) -> tuple:
-    """Flatten a nested chunk tree of node indices into original ids.
-
-    Iterative (via :func:`repro.core.kernel.flatten_chunks`): on deep chains
-    the chunk nesting is as deep as the tree, so a recursive rewrite would
-    defeat the kernel's purpose.  The flat tuple is a valid
-    :class:`Segment.nodes` value -- consumers are documented to go through
-    :func:`flatten_nodes` anyway.
-    """
-    return tuple(ids[i] for i in flatten_chunks(nested))
-
-
 def flatten_nodes(nested: Sequence) -> List[NodeId]:
-    """Flatten the nested node chunks stored in :class:`Segment` objects."""
+    """Flatten nested node chunks (tuples or lists) in execution order.
+
+    The per-node reference implementations keep traversals as such chunks;
+    :attr:`Segment.nodes` is already flat.
+    """
     out: List[NodeId] = []
     stack: List = [nested]
     # Depth-first flattening with an explicit stack; chunks are tuples/lists,
@@ -129,11 +120,7 @@ def liu_optimal_traversal(tree: Tree) -> LiuResult:
     memory, order_idx, peaks, root_segments = kernel_liu(kern)
     ids = kern.ids
     segments = tuple(
-        Segment(
-            hill=hill,
-            valley=valley,
-            nodes=_chunks_to_ids(nodes, ids),
-        )
+        Segment(hill=hill, valley=valley, nodes=kern.order_to_ids(nodes))
         for hill, valley, nodes in root_segments
     )
     return LiuResult(

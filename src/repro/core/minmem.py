@@ -17,11 +17,13 @@ witness.  Worst-case complexity is ``O(p^2)`` like Liu's exact algorithm, but
 the systematic reuse of reached states makes it considerably faster on
 assembly trees (Section VI-C of the paper).
 
-Every sweep enters the solver at the root, and the solver keeps each node's
+Every sweep enters the solver at the root.  The solver keeps each node's
 partial traversal as a linked list over node indices rather than as nested
-containers, so no object per node outlives a sweep for the garbage
-collector to walk.  The optimal traversal is read off that list once, after
-the last sweep.
+containers, and a cut with one entry as a tuple, which CPython stops
+tracking at its first young collection.  What outlives a sweep for the
+garbage collector to walk is one list per node whose cut has two or more
+entries, and none on a chain.  The optimal traversal is read off the
+root's linked list once, after the last sweep.
 """
 
 from __future__ import annotations

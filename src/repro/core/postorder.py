@@ -101,14 +101,15 @@ def postorder_with_rule(tree: Tree, rule: str = "liu") -> PostOrderResult:
             f"unknown postorder rule {rule!r}; expected one of {POSTORDER_RULES}"
         )
     kern = tree if isinstance(tree, TreeKernel) else tree.kernel()
-    memory, order_idx, peaks, child_orders = kernel_postorder(kern, rule)
+    memory, order_idx, peaks, kids = kernel_postorder(kern, rule)
     ids = kern.ids
+    ptr = kern.child_ptr
     return PostOrderResult(
         memory=memory,
         traversal=Traversal(kern.order_to_ids(order_idx), BOTTOMUP),
         subtree_peak={ids[i]: peaks[i] for i in range(kern.size)},
         child_order={
-            ids[i]: tuple(ids[c] for c in child_orders[i])
+            ids[i]: kern.order_to_ids(kids[ptr[i] : ptr[i + 1]])
             for i in range(kern.size)
         },
     )

@@ -1,8 +1,9 @@
 """The ``"auto"`` solver: MinMem, reported under the portfolio's name.
 
-MinMem is exact, and in the paper's Figure 6 it is the fastest of the
-three MinMemory algorithms on about 80% of the assembly trees, so ``auto``
-always solves with it.  The entry stays registered so that every surface
+``auto`` always solves with MinMem, the paper's exact algorithm; the
+paper's Figure 6 has it the fastest MinMemory algorithm on about 80% of the
+assembly trees, a share this repository's own Figure 6 does not show (see
+the ROADMAP).  The entry stays registered so that every surface
 naming ``auto`` (solver lists, CLI choices, campaign cells, traffic
 scenarios) keeps working; ``extras["portfolio"]`` records which algorithm
 answered.
@@ -21,7 +22,7 @@ from .report import SolveReport
 @register_solver(
     "auto",
     family="portfolio",
-    summary="the fastest exact algorithm (MinMem)",
+    summary="the paper's exact algorithm (MinMem)",
     aliases=("portfolio",),
 )
 def _solve_auto(tree: Tree, **_ignored: Any) -> SolveReport:

@@ -72,6 +72,8 @@ def read_matrix_market(path: Union[str, Path]) -> sp.csc_matrix:
 
         line = handle.readline()
         while line.startswith("%") or not line.strip():
+            if not line:  # end of file
+                raise ValueError(f"{path}: no size line")
             line = handle.readline()
         n_rows, n_cols, nnz = (int(tok) for tok in line.split())
 

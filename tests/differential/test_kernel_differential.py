@@ -1,0 +1,134 @@
+"""Differential tests: the in-core kernels vs their per-node oracles.
+
+:func:`~repro.core.kernel.kernel_postorder`, :func:`~repro.core.kernel.kernel_liu`
+and :func:`~repro.core.kernel.kernel_min_mem` keep their per-node state in
+flat lists; the oracles in ``_oracles`` keep one container per node.  On
+drawn trees -- random attachment trees, and chains, stars and caterpillars
+of up to about 2,000 nodes -- both sides must agree exactly: peak,
+traversal, every subtree peak, PostOrder's child order of every node, and
+Liu's root segments (hill, valley and the flattened nodes).
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracles
+from _diff_strategies import task_trees
+from repro.core.kernel import kernel_liu, kernel_min_mem, kernel_postorder
+from repro.core.liu import flatten_nodes
+from repro.core.postorder import POSTORDER_RULES
+from repro.core.tree import Tree
+
+#: the largest drawn chain, star or caterpillar
+MAX_SHAPE_NODES = 2_000
+
+
+@st.composite
+def shaped_trees(draw) -> Tree:
+    """A chain, a star or a caterpillar with exact integer weights."""
+    kind = draw(st.sampled_from(("chain", "star", "caterpillar")))
+    size = draw(st.integers(min_value=1, max_value=MAX_SHAPE_NODES))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "chain":
+        parents = [i - 1 for i in range(size)]
+    elif kind == "star":
+        parents = [-1] + [0] * (size - 1)
+    else:
+        # a spine of spine_len nodes, each later node hung off a random
+        # spine node
+        spine_len = rng.randint(1, size)
+        parents = [i - 1 for i in range(spine_len)]
+        parents += [rng.randrange(spine_len) for _ in range(spine_len, size)]
+    f = [float(rng.randint(0, 12)) for _ in range(size)]
+    n = [float(rng.randint(0, 6)) for _ in range(size)]
+    return Tree.from_parents(parents, f=f, n=n)
+
+
+any_trees = st.one_of(task_trees(), shaped_trees())
+
+
+def _check_postorder(tree: Tree) -> None:
+    kern = tree.kernel()
+    ptr = kern.child_ptr
+    for rule in POSTORDER_RULES:
+        memory, order, peaks, kids = kernel_postorder(kern, rule)
+        reference = _oracles.postorder_with_rule(tree, rule=rule)
+        assert memory == reference.memory
+        assert kern.order_to_ids(order) == reference.traversal.order
+        for i, node in enumerate(kern.ids):
+            assert peaks[i] == reference.subtree_peak[node]
+            assert (
+                kern.order_to_ids(kids[ptr[i] : ptr[i + 1]])
+                == reference.child_order[node]
+            ), (rule, node)
+
+
+def _check_liu(tree: Tree) -> None:
+    kern = tree.kernel()
+    memory, order, peaks, segments = kernel_liu(kern)
+    reference = _oracles.liu_optimal_traversal(tree)
+    assert memory == reference.memory
+    assert kern.order_to_ids(order) == reference.traversal.order
+    for i, node in enumerate(kern.ids):
+        assert peaks[i] == reference.subtree_peak[node]
+    assert [
+        (hill, valley, kern.order_to_ids(nodes)) for hill, valley, nodes in segments
+    ] == [
+        (seg.hill, seg.valley, tuple(flatten_nodes(seg.nodes)))
+        for seg in reference.segments
+    ]
+
+
+def _check_min_mem(tree: Tree) -> None:
+    kern = tree.kernel()
+    memory, order, iterations, explore_calls = kernel_min_mem(kern)
+    reference = _oracles.min_mem(tree)
+    assert memory == reference.memory
+    assert kern.order_to_ids(order) == reference.traversal.order
+    assert (iterations, explore_calls) == (
+        reference.iterations,
+        reference.explore_calls,
+    )
+
+
+@given(tree=any_trees)
+@settings(max_examples=60)
+def test_postorder_kernel_matches_the_oracle(tree):
+    _check_postorder(tree)
+
+
+@given(tree=any_trees)
+@settings(max_examples=60)
+def test_liu_kernel_matches_the_oracle(tree):
+    _check_liu(tree)
+
+
+@given(tree=any_trees)
+@settings(max_examples=40)
+def test_min_mem_kernel_matches_the_oracle(tree):
+    _check_min_mem(tree)
+
+
+def test_largest_shapes_match_the_oracles():
+    # the strategy may never draw its upper size: pin each shape at it once
+    size = MAX_SHAPE_NODES
+    half = size // 2
+    trees = [
+        Tree.from_parents([i - 1 for i in range(size)], f=[2.0] * size, n=[1.0] * size),
+        Tree.from_parents(
+            [-1] + [0] * (size - 1),
+            f=[float(i % 7) for i in range(size)],
+            n=[float(i % 3) for i in range(size)],
+        ),
+        Tree.from_parents(
+            [i - 1 for i in range(half)] + [i % half for i in range(size - half)],
+            f=[float((5 * i) % 11) for i in range(size)],
+            n=[float(i % 4) for i in range(size)],
+        ),
+    ]
+    for tree in trees:
+        _check_postorder(tree)
+        _check_liu(tree)
+        _check_min_mem(tree)

@@ -1,6 +1,6 @@
 """Tests for the array-backed tree kernel (:mod:`repro.core.kernel`).
 
-Three layers of coverage:
+Layers of coverage:
 
 * representation: ``TreeKernel`` construction, caching on :class:`Tree`,
   round-trips, and the bulk :meth:`Tree.from_parents` builder;
@@ -13,7 +13,9 @@ Three layers of coverage:
   recursion limit (the hot paths are explicit-stack iterative);
 * Explore's state handling: budget sequences that restart and resume
   states agree with the oracle, and a finished solver keeps no object per
-  node alive.
+  node alive;
+* the collector: no in-core kernel keeps a container per node through a
+  solve, so no collection of generation 1 or 2 finds one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from _helpers import make_random_tree
 from _oracles.explore import ExploreSolver
 from repro.bench.replay import replay_report
 from repro.core.builders import chain_tree, star_tree
-from repro.core.kernel import KernelExploreSolver, TreeKernel
+from repro.core.kernel import (
+    KernelExploreSolver,
+    TreeKernel,
+    kernel_liu,
+    kernel_min_mem,
+    kernel_postorder,
+)
 from repro.core.liu import flatten_nodes, liu_optimal_traversal
 from repro.core.minmem import min_mem
 from repro.core.postorder import postorder_with_rule
@@ -204,6 +212,7 @@ class TestEngineEquivalence:
         for seg_k, seg_r in zip(kernel.segments, reference.segments):
             assert seg_k.hill == pytest.approx(seg_r.hill)
             assert seg_k.valley == pytest.approx(seg_r.valley)
+            assert seg_k.nodes == tuple(flatten_nodes(seg_r.nodes))
 
     def test_explore_solver_parity_under_memory_pressure(self):
         rng = random.Random(99)
@@ -328,6 +337,52 @@ def _objects_held_by_finished_solver(tree) -> int:
     held = len(gc.get_objects()) - before
     assert solver.explore_calls >= kern.size  # the solver is still alive here
     return held
+
+
+def _most_tracked_at_old_collections(run) -> int:
+    """Most GC-tracked objects alive beyond the baseline, over every
+    collection of generation 1 or 2 during ``run()``.
+
+    Counted as each collection stops: a tuple holding only ints has been
+    untracked by then, a list never is.
+    """
+    gc.collect()
+    before = len(gc.get_objects())
+    most = 0
+
+    def count(phase, info):
+        nonlocal most
+        if phase == "stop" and info["generation"] >= 1:
+            most = max(most, len(gc.get_objects()) - before)
+
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+    return most
+
+
+class TestNoPromotion:
+    """The in-core kernels keep no container per node through a solve.
+
+    A list per node survives every young collection and is promoted, so a
+    100k-node tree would set off full collections that walk all of them.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [kernel_postorder, kernel_liu, kernel_min_mem],
+        ids=["postorder", "liu", "minmem"],
+    )
+    def test_chain(self, kernel):
+        kern = chain_tree(20_000, f=2.0, n=1.0).kernel()
+        assert _most_tracked_at_old_collections(lambda: kernel(kern)) < 100
+
+    def test_liu_on_a_harpoon(self):
+        # many segments per subtree, merged and re-cut at every level
+        kern = iterated_harpoon_tree(3, levels=7, memory=1.0, epsilon=0.01).kernel()
+        assert _most_tracked_at_old_collections(lambda: kernel_liu(kern)) < 100
 
 
 class TestExploreSolver:

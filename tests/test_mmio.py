@@ -7,6 +7,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from _oracles import sparse as oracle
 from repro.sparse.matrices import grid_laplacian_2d, random_spd
 from repro.sparse.mmio import read_matrix_market, write_matrix_market
 
@@ -185,14 +186,18 @@ class TestFormats:
             read_matrix_market(path)
 
     def test_rejects_malformed_size_line_and_bare_carriage_return(self, tmp_path):
-        for name, text in (
-            ("size.mtx", "++2 2 1\n1 1 1.0\n"),
-            ("bare_cr.mtx", "2 2 2\n1 1 1.0\r2 2 2.0\n"),
+        for name, text, where in (
+            ("size.mtx", "++2 2 1\n1 1 1.0\n", "line 2"),
+            ("bare_cr.mtx", "2 2 2\n1 1 1.0\r2 2 2.0\n", "line 3"),
+            ("no_size.mtx", "% a banner and comments, no size line\n%\n", "no size line"),
         ):
             path = tmp_path / name
             path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n" + text.encode())
-            with pytest.raises(ValueError, match=re.escape(name) + ": line [23]"):
+            with pytest.raises(ValueError, match=re.escape(f"{name}: {where}")):
                 read_matrix_market(path)
+        # the oracle reader refuses a missing size line too, naming the file
+        with pytest.raises(ValueError, match=re.escape("no_size.mtx: no size line")):
+            oracle.read_matrix_market(tmp_path / "no_size.mtx")
 
     def test_rejects_nonzero_skew_diagonal(self, tmp_path):
         # a_ii = -a_ii forces a zero diagonal; nonzero entries were silently kept
