@@ -30,7 +30,7 @@ from .builders import (
     uniform_weights,
 )
 from .kernel import KernelExploreSolver, TreeKernel
-from .liu import LiuResult, Segment, flatten_nodes, liu_min_memory, liu_optimal_traversal
+from .liu import LiuResult, Segment, liu_min_memory, liu_optimal_traversal
 from .minmem import MinMemResult, min_mem, min_memory
 from .postorder import POSTORDER_RULES, PostOrderResult, best_postorder, postorder_with_rule
 from .serialize import (
@@ -100,7 +100,6 @@ __all__ = [
     "Segment",
     "liu_optimal_traversal",
     "liu_min_memory",
-    "flatten_nodes",
     # minmem
     "MinMemResult",
     "min_mem",

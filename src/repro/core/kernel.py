@@ -21,12 +21,15 @@ array-based versions of every hot path:
   child-ordering rules) by a single bottom-up sweep; the chosen child
   order is one flat copy of ``child_idx``, sorted slice by slice;
 * :func:`kernel_liu` -- Liu's exact hill--valley algorithm; node sequences
-  are linked lists over node indices, and each segment, named by its first
-  node, is a set of entries in flat per-node lists;
+  are linked lists over node indices, each segment, named by its first
+  node, is a set of entries in flat per-node lists, and a one-child node
+  re-cuts its child's segments in place;
 * :class:`KernelExploreSolver` / :func:`kernel_min_mem` -- the paper's
-  Explore/MinMem pair as one loop over an explicit stack of ints and
-  floats, entered at the root, whose partial traversals are linked lists
-  over node indices and whose one-entry cuts are tuples;
+  Explore/MinMem pair as one loop over an explicit stack of frames, entered
+  at the root.  A leaf runs in place, a freshly executed one-child node
+  keeps no frame, and a merge overwrites its slot in the cut; partial
+  traversals are linked lists over node indices and one-entry cuts are
+  tuples;
 * :func:`kernel_replay_traversal` / :func:`kernel_replay_schedule` -- the
   replay engine's peak-memory/IO recomputation on index arrays;
 * :func:`kernel_out_of_core` -- the MinIO eviction simulator with an
@@ -511,7 +514,14 @@ def kernel_liu(
       ``hill``, ``valley``, ``last`` and ``seg_next`` at that name, and
       ``head[v]`` names the first segment of a finished subtree ``v``.
 
-    The events of one merge live in temporary lists made for that node.
+    A node with one child re-cuts in place.  The child's segments are
+    canonical (hills do not increase, valleys increase, the last valley is
+    the child's ``f``), so appending ``v`` keeps the prefix of segments
+    whose hill reaches ``v``'s own peak and whose valley stays below
+    ``f_v``, and merges the rest with ``v`` into one segment with hill
+    ``max(first merged hill, own peak)`` and valley ``f_v`` -- what the
+    re-cut of the whole event list gives.  Only a node with two or more
+    children builds its events, in temporary lists made for that node.
 
     Returns
     -------
@@ -547,10 +557,9 @@ def kernel_liu(
             subtree_peak[v] = peak0
             continue
         if hi - lo == 1:
-            # one child: the merge sort is a no-op (a canonical representation
-            # already has non-increasing hill - valley), and converting to
-            # relative increments and re-basing reproduces the absolute
-            # levels, so the child's segments ARE the events
+            # one child: its canonical segments are already in merge order,
+            # hills not increasing and valleys increasing, and the last
+            # valley is the child's f, so appending v re-cuts only the tail
             s = head[child_idx[lo]]
             if seg_next[s] < 0 and valley[s] >= fv:
                 # one segment ending no lower than fv: v extends it (chains)
@@ -565,43 +574,62 @@ def kernel_liu(
                 head[v] = s
                 subtree_peak[v] = h
                 continue
-            peaks: List[float] = []
-            levels: List[float] = []
-            firsts: List[int] = []
-            while s >= 0:
-                peaks.append(hill[s])
-                levels.append(valley[s])
-                firsts.append(s)
+            c = child_idx[lo]
+            own_peak = f[c] + n[v] + fv
+            # keep the segments whose hill reaches v's peak and whose valley
+            # stays below fv; v absorbs the rest into one segment
+            kept = -1
+            while s >= 0 and hill[s] >= own_peak and valley[s] < fv:
+                kept = s
                 s = seg_next[s]
-            base = levels[-1]
-        else:
-            keys: List[float] = []
-            rel_hill: List[float] = []
-            rel_valley: List[float] = []
-            names: List[int] = []
-            for child_pos in range(lo, hi):
-                s = head[child_idx[child_pos]]
-                prev_valley = 0.0
-                while s >= 0:
-                    h = hill[s]
-                    w = valley[s]
-                    keys.append(w - h)  # == -(hill - valley)
-                    rel_hill.append(h - prev_valley)
-                    rel_valley.append(w - prev_valley)
-                    names.append(s)
-                    prev_valley = w
-                    s = seg_next[s]
-            # a stable sort on the key alone keeps ties in (child, segment)
-            # order
-            peaks = []
-            levels = []
-            firsts = []
-            base = 0.0
-            for t in sorted(range(len(keys)), key=keys.__getitem__):
-                peaks.append(base + rel_hill[t])
-                levels.append(base + rel_valley[t])
-                firsts.append(names[t])
-                base += rel_valley[t]
+            if s < 0:
+                hill[v] = own_peak
+                valley[v] = fv
+                seg_next[v] = -1
+                seg_next[kept] = v
+                nxt[last[kept]] = v
+            else:
+                h = hill[s]
+                if own_peak > h:
+                    h = own_peak
+                t = s
+                while seg_next[t] >= 0:
+                    t = seg_next[t]
+                nxt[last[t]] = v
+                hill[s] = h
+                valley[s] = fv
+                last[s] = v
+                seg_next[s] = -1
+            s = head[v] = head[c]
+            subtree_peak[v] = hill[s]
+            continue
+        keys: List[float] = []
+        rel_hill: List[float] = []
+        rel_valley: List[float] = []
+        names: List[int] = []
+        for child_pos in range(lo, hi):
+            s = head[child_idx[child_pos]]
+            prev_valley = 0.0
+            while s >= 0:
+                h = hill[s]
+                w = valley[s]
+                keys.append(w - h)  # == -(hill - valley)
+                rel_hill.append(h - prev_valley)
+                rel_valley.append(w - prev_valley)
+                names.append(s)
+                prev_valley = w
+                s = seg_next[s]
+        # a stable sort on the key alone keeps ties in (child, segment)
+        # order
+        peaks: List[float] = []
+        levels: List[float] = []
+        firsts: List[int] = []
+        base = 0.0
+        for t in sorted(range(len(keys)), key=keys.__getitem__):
+            peaks.append(base + rel_hill[t])
+            levels.append(base + rel_valley[t])
+            firsts.append(names[t])
+            base += rel_valley[t]
         own_peak = base + n[v] + fv
         peaks.append(own_peak)
         levels.append(fv)
@@ -732,13 +760,23 @@ class KernelExploreSolver:
     the previous one stopped -- the ``L_init`` / ``Tr_init`` mechanism of
     the paper, generalised to every node.
 
-    A solve makes at least one nested ``Explore`` call per node, so the
-    solver keeps nothing per call, and per node nothing the garbage
-    collector has to walk but one list for each node whose cut has two or
-    more entries:
+    A solve makes at least one nested ``Explore`` call per node, so a call
+    costs only the work of the algorithm, and the solver keeps per node
+    nothing the garbage collector has to walk but one list for each node
+    whose cut has two or more entries:
 
-    * the recursion is one loop over an explicit stack of parallel int and
-      float lists -- no generator or frame object per call;
+    * the recursion is one loop over an explicit stack of frame tuples --
+      no generator or frame object per call.  A freshly executed node
+      takes its cut total from ``child_f_sum``, the same left-to-right sum
+      as re-adding its children's files.  Two kinds of call push no frame.
+      A leaf candidate runs in place: its result is fixed (resident 0, peak
+      ``inf``, required ``mem_req``).  A freshly executed node with one
+      child runs its first pass inline, and while that child is executed
+      afresh it keeps no frame: its suspended state is always (cut
+      ``(c,)``, pos 0, total ``child_f_sum``, required ``mem_req``, its
+      child's available memory), so it is rebuilt from the node on return.
+      A run of such nodes, a chain, is descended in one tight loop and
+      unwound in one while each child comes back fully explored;
     * the partial traversal of node ``v`` is a singly linked list over node
       indices: it starts at ``v``, follows ``_next`` and ends at
       ``_tail[v]``.  Executing ``v`` sets ``_tail[v] = v``; merging child
@@ -751,9 +789,20 @@ class KernelExploreSolver:
       the node's saved state and is updated in place.  A merge into a
       1-tuple cut replaces that cut and writes the new one back to the
       saved state: a tuple sub-cut is kept as it is, a list sub-cut is
-      copied, since it stays the child's saved state.  Rebuilding every cut
-      as a tuple on each merge instead would copy a star's whole cut per
-      leaf.
+      copied, since it stays the child's saved state.  A merge into a list
+      is linear: an empty sub-cut leaves a hole (``-1``) and a one-entry
+      sub-cut overwrites the child's slot, and the holes are dropped once,
+      at the end of the pass; only a sub-cut of two or more entries is
+      spliced in.
+
+    A pass that tried candidates but changed nothing -- no node executed or
+    restarted, no merge, no ``peak_of`` value changed -- ends its node as if
+    it had found no candidate: the next pass would repeat it forever.  Such
+    a pass needs two roundings to disagree: the admission test
+    ``headroom + f_j`` and the child's budget ``avail - (total - f_j)``,
+    at file sizes where :data:`_EPS` is below the float spacing.  Every
+    other run is unchanged by the rule; MinMem then either finds the
+    optimum or raises its floating-point stall error.
 
     A merged child's list is shared by reference, so re-exploring that
     child would rewrite its ancestor's traversal.  The solver is therefore
@@ -812,6 +861,8 @@ class KernelExploreSolver:
         kern = self.kern
         f = kern.f
         mem_req = kern.mem_req
+        child_f_sum = kern.child_f_sum
+        parent = kern.parent
         child_ptr = kern.child_ptr
         child_idx = kern.child_idx
         peak_of = self._peak_of
@@ -826,119 +877,282 @@ class KernelExploreSolver:
         avail = m_avail
         cut = state_cut[0]
         required = state_required[0]
+        # state changes so far (executions, merges, new peak_of values), and
+        # their count when the current pass started
+        changes = mark = 0
+        one = False
         if cut is None or required > avail + _EPS:
             if mem_req[0] > avail + _EPS:
                 # the root itself cannot be executed (paper lines 3-5)
                 return inf, mem_req[0], 0.0
             # execute the root (paper lines 10-11)
             hi = child_ptr[1]  # the root's children start at 0
+            one = hi == 1
             if hi > 1:
-                cut = child_idx[:hi]
-            else:
-                cut = (child_idx[0],) if hi else _DONE
-            state_cut[0] = cut
+                cut = state_cut[0] = child_idx[:hi]
+            elif not hi:
+                cut = state_cut[0] = _DONE
             tail[0] = 0
             required = mem_req[0]
-        total = 0.0
-        for j in cut:
-            total += f[j]
+            total = child_f_sum[0]
+        else:
+            total = 0.0
+            for j in cut:
+                total += f[j]
         headroom = avail - total
         pos = 0
-        found = False
-        # suspended frames: (node, pos) and (avail, headroom, total, required)
-        ints: List[int] = []
-        floats: List[float] = []
+        holes = 0  # entries of a list cut this pass merged away
+        # the highest node of the run of frameless one-child nodes that the
+        # current node returns into, or -1 when it returns into a frame
+        top = -1
+        stack: List[tuple] = []
         calls = 0
         while True:
-            # scan the cut of `node` for this pass's next candidate; a pass
-            # tests every node against the headroom it started with
-            n_cut = len(cut)
-            while pos < n_cut:
-                j = cut[pos]
-                fj = f[j]
-                if headroom + fj < peak_of[j] - _EPS:
-                    pos += 1
+            if one:
+                # `node` was just executed and has one child: its first pass
+                # has one candidate and runs here.  While that child is
+                # executed afresh, `node` keeps no frame; its suspended state
+                # (cut (c,), pos 0, total child_f_sum, required mem_req, the
+                # child's avail) is rebuilt from it on return.
+                one = False
+                scan = False  # whether `node` goes on with a pass of its own
+                while True:
+                    total = child_f_sum[node]
+                    c = child_idx[child_ptr[node]]
+                    fc = f[c]
+                    if (avail - total) + fc < peak_of[c] - _EPS:
+                        # no candidate: `node` is finished
+                        cut = state_cut[node] = (c,)
+                        tail[node] = node
+                        required = mem_req[node]
+                        resident = total
+                        peak = peak_of[c] + (total - fc)
+                        break
+                    if (
+                        state_cut[c] is not None and state_required[c] <= avail + _EPS
+                    ) or mem_req[c] > avail + _EPS:
+                        # c is resumed or cannot run: `node` makes a
+                        # generic pass, with a frame of its own
+                        cut = state_cut[node] = (c,)
+                        tail[node] = node
+                        required = mem_req[node]
+                        scan = True
+                        break
+                    calls += 1
+                    changes += 1
+                    lo = child_ptr[c]
+                    hi = child_ptr[c + 1]
+                    if lo == hi:
+                        # a leaf runs in place and `node` merges its empty cut
+                        peak_of[c] = inf
+                        state_cut[c] = _DONE
+                        state_required[c] = mem_req[c]
+                        tail[c] = c
+                        resident = total - fc
+                        req = resident + mem_req[c]
+                        required = mem_req[node]
+                        if req > required:
+                            required = req
+                        nxt[node] = c
+                        tail[node] = c
+                        cut = state_cut[node] = _DONE
+                        peak = inf
+                        break
+                    if top < 0:
+                        top = node
+                    node = c
+                    if hi - lo > 1:
+                        cut = state_cut[c] = child_idx[lo:hi]
+                        tail[c] = c
+                        required = mem_req[c]
+                        total = child_f_sum[c]
+                        scan = True
+                        break
+                if scan:
+                    headroom = avail - total
+                    pos = 0
+                    mark = changes
+                    holes = 0
                     continue
-                found = True
-                child_avail = avail - (total - fj)
-                calls += 1
-                jcut = state_cut[j]
-                jrequired = state_required[j]
-                if jcut is None or jrequired > child_avail + _EPS:
-                    if mem_req[j] > child_avail + _EPS:
-                        # j itself cannot be executed (lines 3-5)
-                        peak_of[j] = mem_req[j]
+                state_required[node] = required
+            else:
+                # scan the cut of `node` for this pass's next candidate; a
+                # pass tests every node against the headroom it started with
+                n_cut = len(cut)
+                while pos < n_cut:
+                    j = cut[pos]
+                    fj = f[j]
+                    if headroom + fj < peak_of[j] - _EPS:
                         pos += 1
                         continue
+                    child_avail = avail - (total - fj)
+                    calls += 1
+                    jcut = state_cut[j]
+                    if jcut is not None and state_required[j] <= child_avail + _EPS:
+                        # resume j (the recursive call of line 15)
+                        stack.append(
+                            (node, pos, mark, holes, avail, headroom, total,
+                             required, top)
+                        )
+                        top = -1
+                        node = j
+                        avail = child_avail
+                        cut = jcut
+                        required = state_required[j]
+                        total = 0.0
+                        for k in cut:
+                            total += f[k]
+                        headroom = avail - total
+                        pos = 0
+                        mark = changes
+                        holes = 0
+                        n_cut = len(cut)
+                        continue
+                    if mem_req[j] > child_avail + _EPS:
+                        # j itself cannot be executed (lines 3-5)
+                        if peak_of[j] != mem_req[j]:
+                            peak_of[j] = mem_req[j]
+                            changes += 1
+                        pos += 1
+                        continue
+                    # execute j (lines 10-11)
+                    changes += 1
                     lo = child_ptr[j]
                     hi = child_ptr[j + 1]
-                    if hi - lo > 1:
-                        jcut = child_idx[lo:hi]
-                    else:
-                        jcut = (child_idx[lo],) if hi > lo else _DONE
-                    state_cut[j] = jcut
+                    if lo == hi:
+                        # a leaf runs in place: resident 0, peak inf, and its
+                        # empty cut is merged in place of it (lines 16-18)
+                        peak_of[j] = inf
+                        state_cut[j] = _DONE
+                        state_required[j] = mem_req[j]
+                        tail[j] = j
+                        if type(cut) is tuple:
+                            cut = state_cut[node] = _DONE
+                            n_cut = 0
+                        else:
+                            cut[pos] = -1
+                            holes += 1
+                            pos += 1
+                        total -= fj
+                        req = total + mem_req[j]
+                        if req > required:
+                            required = req
+                        nxt[tail[node]] = j
+                        tail[node] = j
+                        continue
+                    stack.append(
+                        (node, pos, mark, holes, avail, headroom, total,
+                         required, top)
+                    )
+                    top = -1
+                    node = j
+                    avail = child_avail
+                    if hi - lo == 1:
+                        one = True
+                        break
+                    cut = state_cut[j] = child_idx[lo:hi]
                     tail[j] = j
-                    jrequired = mem_req[j]
-                # descend into j (the recursive call of line 15)
-                ints.append(node)
-                ints.append(pos)
-                floats.append(avail)
-                floats.append(headroom)
-                floats.append(total)
-                floats.append(required)
-                node = j
-                avail = child_avail
-                cut = jcut
-                required = jrequired
-                total = 0.0
-                for k in cut:
-                    total += f[k]
-                headroom = avail - total
-                pos = 0
-                found = False
-                n_cut = len(cut)
-            if found and cut:
-                # the cut changed: start a new pass with the new headroom
-                headroom = avail - total
-                pos = 0
-                found = False
-                continue
-            # `node` is finished: M_i, M_peak_i, and its saved state
-            resident = total
-            peak = inf
-            for j in cut:
-                cand = peak_of[j] + (resident - f[j])
-                if cand < peak:
-                    peak = cand
-            if not cut:
-                state_cut[node] = _DONE
-            state_required[node] = required
-            if not ints:
-                break
-            # return into the suspended caller
+                    required = mem_req[j]
+                    total = child_f_sum[j]
+                    headroom = avail - total
+                    pos = 0
+                    mark = changes
+                    holes = 0
+                    n_cut = len(cut)
+                if one:
+                    continue
+                if holes:
+                    cut = state_cut[node] = [k for k in cut if k >= 0]
+                    holes = 0
+                if changes != mark and cut:
+                    # the cut changed: start a new pass with the new headroom
+                    headroom = avail - total
+                    pos = 0
+                    mark = changes
+                    continue
+                # `node` is finished: no candidate, or a pass that changed
+                # nothing and would repeat forever.  M_i, M_peak_i, saved state
+                resident = total
+                peak = inf
+                for j in cut:
+                    cand = peak_of[j] + (resident - f[j])
+                    if cand < peak:
+                        peak = cand
+                if not cut:
+                    state_cut[node] = _DONE
+                state_required[node] = required
             j = node
+            if top >= 0 and not cut:
+                # j came back fully explored: its frameless parent merges the
+                # empty cut and is finished too, and so on up the run
+                jtail = tail[j]
+                while resident <= f[j] + _EPS:
+                    fj = f[j]
+                    peak_of[j] = inf
+                    node = parent[j]
+                    total = child_f_sum[node]
+                    rest = total - fj
+                    resident = total + (resident - fj)
+                    req = rest + required
+                    required = mem_req[node]
+                    if req > required:
+                        required = req
+                    nxt[node] = j
+                    tail[node] = jtail
+                    state_cut[node] = _DONE
+                    state_required[node] = required
+                    j = node
+                    if node == top:
+                        top = -1
+                        break
             sub_required = required
-            required = floats.pop()
-            total = floats.pop()
-            headroom = floats.pop()
-            avail = floats.pop()
-            pos = ints.pop()
-            node = ints.pop()
-            cut = state_cut[node]
-            found = True
-            peak_of[j] = peak
+            if top >= 0:
+                # return into a rebuilt frame; its pass executed j
+                node = parent[j]
+                if node == top:
+                    top = -1
+                cut = state_cut[node] = (j,)
+                tail[node] = node
+                total = child_f_sum[node]
+                headroom = avail - total
+                required = mem_req[node]
+                pos = 0
+                mark = -1
+                holes = 0
+            elif stack:
+                # return into the suspended caller
+                node, pos, mark, holes, avail, headroom, total, required, top = (
+                    stack.pop()
+                )
+                cut = state_cut[node]
+            else:
+                break
+            if peak_of[j] != peak:
+                peak_of[j] = peak
+                changes += 1
             fj = f[j]
             if resident <= fj + _EPS:
-                # merge the child's cut in place of the child (16-18)
+                # merge the child's cut in place of the child (16-18): an
+                # empty sub-cut leaves a hole, one entry overwrites the slot
+                changes += 1
                 sub_cut = state_cut[j]
                 if type(cut) is tuple:
                     # a one-entry cut is replaced: a tuple sub-cut is shared
                     # as is, a list one copied, since it stays j's state
-                    cut = sub_cut if type(sub_cut) is tuple else list(sub_cut)
-                    state_cut[node] = cut
+                    cut = state_cut[node] = (
+                        sub_cut if type(sub_cut) is tuple else list(sub_cut)
+                    )
+                    pos += len(sub_cut)
+                elif not sub_cut:
+                    cut[pos] = -1
+                    holes += 1
+                    pos += 1
+                elif len(sub_cut) == 1:
+                    cut[pos] = sub_cut[0]
+                    pos += 1
                 else:
                     cut[pos : pos + 1] = sub_cut
-                pos += len(sub_cut)
+                    pos += len(sub_cut)
                 rest = total - fj
                 total += resident - fj
                 req = rest + sub_required
@@ -949,7 +1163,7 @@ class KernelExploreSolver:
             else:
                 pos += 1
         self.explore_calls += calls
-        return resident, peak, required
+        return resident, peak, sub_required
 
 
 def kernel_min_mem(kern: TreeKernel) -> Tuple[float, List[int], int, int]:

@@ -23,7 +23,7 @@ segment node lists give an optimal traversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Tuple
 
 from .kernel import TreeKernel, kernel_liu
 from .traversal import BOTTOMUP, Traversal
@@ -68,25 +68,6 @@ class LiuResult:
     traversal: Traversal
     segments: Tuple[Segment, ...]
     subtree_peak: Dict[NodeId, float]
-
-
-def flatten_nodes(nested: Sequence) -> List[NodeId]:
-    """Flatten nested node chunks (tuples or lists) in execution order.
-
-    The per-node reference implementations keep traversals as such chunks;
-    :attr:`Segment.nodes` is already flat.
-    """
-    out: List[NodeId] = []
-    stack: List = [nested]
-    # Depth-first flattening with an explicit stack; chunks are tuples/lists,
-    # leaves are node identifiers.
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (tuple, list)):
-            stack.extend(reversed(item))
-        else:
-            out.append(item)
-    return out
 
 
 def liu_min_memory(tree: Tree) -> float:

@@ -18,6 +18,7 @@ cases with known answers (:mod:`.pebble`).  Import them the way
 
 from . import sparse
 from .core import (
+    flatten_nodes,
     liu_optimal_traversal,
     min_mem,
     postorder_with_rule,
@@ -30,6 +31,7 @@ from .solvers import solve
 __all__ = [
     "ExploreResult",
     "ExploreSolver",
+    "flatten_nodes",
     "liu_optimal_traversal",
     "min_mem",
     "postorder_with_rule",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Tuple, Union
 
-from repro.core.liu import LiuResult, Segment, flatten_nodes
+from repro.core.liu import LiuResult, Segment
 from repro.core.minio.heuristics import Selector, get_heuristic
 from repro.core.minio.scheduler import OutOfCoreResult
 from repro.core.minmem import MinMemResult
@@ -32,6 +32,7 @@ from repro.core.tree import Tree
 from .explore import ExploreSolver
 
 __all__ = [
+    "flatten_nodes",
     "postorder_with_rule",
     "liu_optimal_traversal",
     "min_mem",
@@ -42,6 +43,24 @@ NodeId = Hashable
 
 #: the MinIO simulator's feasibility tolerance
 _EPS = 1e-12
+
+
+def flatten_nodes(nested: list) -> List[NodeId]:
+    """Flatten nested traversal chunks in execution order.
+
+    The oracles keep a traversal as a list whose items are node ids and
+    nested chunks, which are lists too.  Node ids are hashable, so no id is
+    a list, and an id that is a tuple stays whole.
+    """
+    out: List[NodeId] = []
+    stack: list = [nested]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(reversed(item))
+        else:
+            out.append(item)
+    return out
 
 
 def postorder_with_rule(tree: Tree, rule: str = "liu") -> PostOrderResult:
@@ -113,13 +132,13 @@ def liu_optimal_traversal(tree: Tree) -> LiuResult:
 
     for node in tree.bottom_up_order():
         children = tree.children(node)
-        events: List[Tuple[float, float, tuple]] = []
+        events: List[Tuple[float, float, list]] = []
 
         if children:
             # Convert every child's canonical (absolute) segments into
             # relative increments and merge them in decreasing (hill - valley)
             # order, preserving per-child order for equal keys.
-            keyed: List[Tuple[float, int, int, float, float, tuple]] = []
+            keyed: List[Tuple[float, int, int, float, float, list]] = []
             for child_idx, child in enumerate(children):
                 prev_valley = 0.0
                 for seg_idx, seg in enumerate(segments_of[child]):
@@ -150,7 +169,7 @@ def liu_optimal_traversal(tree: Tree) -> LiuResult:
         # The node itself: children files resident, allocate n_i + f_i,
         # release the children files, keep f_i.
         own_peak = base + tree.n(node) + tree.f(node)
-        events.append((own_peak, tree.f(node), (node,)))
+        events.append((own_peak, tree.f(node), [node]))
 
         segments_of[node] = _canonical_segments(events)
         subtree_peak[node] = max(seg.hill for seg in segments_of[node])
@@ -168,7 +187,7 @@ def liu_optimal_traversal(tree: Tree) -> LiuResult:
     )
 
 
-def _canonical_segments(events: List[Tuple[float, float, tuple]]) -> List[Segment]:
+def _canonical_segments(events: List[Tuple[float, float, list]]) -> List[Segment]:
     """Cut an event profile into its canonical hill--valley representation.
 
     ``events`` is a list of ``(peak_during, level_after, nodes)`` triples in
@@ -215,7 +234,7 @@ def _canonical_segments(events: List[Tuple[float, float, tuple]]) -> List[Segmen
     while start < n_events:
         hill_pos = first_max[start]
         valley_pos = last_min[hill_pos]
-        chunk = tuple(events[t][2] for t in range(start, valley_pos + 1))
+        chunk = [events[t][2] for t in range(start, valley_pos + 1)]
         segments.append(
             Segment(hill=suffix_max[start], valley=events[valley_pos][1], nodes=chunk)
         )
@@ -233,7 +252,7 @@ def min_mem(tree: Tree, *, reuse_states: bool = True) -> MinMemResult:
     m_peak = tree.max_mem_req()
     m_avail = 0.0
     iterations = 0
-    chunks: tuple = ()
+    chunks: list = []
 
     # Root-level resume (the L_init / Tr_init arguments of Algorithm 4) is
     # always provided by the solver; with reuse_states=True the states of

@@ -62,8 +62,8 @@ class ExploreResult:
     cut:
         ``L_i`` -- the frontier nodes whose input files are still resident.
     traversal_chunks:
-        Nested chunks of node identifiers; flatten with
-        :func:`repro.core.liu.flatten_nodes` to get the partial traversal.
+        Nested chunks (lists) of node identifiers; flatten with
+        :func:`_oracles.flatten_nodes` to get the partial traversal.
     peak:
         ``M_peak_i`` -- minimum available memory needed to visit one more node
         of the subtree (``inf`` when the subtree is completely processed).
@@ -75,7 +75,7 @@ class ExploreResult:
 
     resident: float
     cut: Tuple[NodeId, ...]
-    traversal_chunks: tuple
+    traversal_chunks: list
     peak: float
     required: float
 
@@ -105,6 +105,8 @@ class ExploreSolver:
         self._states: Dict[NodeId, _ResumeState] = {}
         self.explore_calls = 0
         self.nodes_visited = 0
+        # state changes so far: executions, merges and new peak_of values
+        self._changes = 0
 
     # ------------------------------------------------------------------
     def peak_of(self, node: NodeId) -> float:
@@ -152,7 +154,7 @@ class ExploreSolver:
 
         if not resumable and mem_req > m_avail + _EPS:
             # The node itself cannot be executed (paper lines 3-5).
-            return ExploreResult(math.inf, (), (), mem_req, 0.0)
+            return ExploreResult(math.inf, (), [], mem_req, 0.0)
 
         if resumable:
             cut: List[NodeId] = list(state.cut)
@@ -164,6 +166,7 @@ class ExploreSolver:
             chunks = [node]
             required = mem_req
             self.nodes_visited += 1
+            self._changes += 1
 
         while cut:
             total = sum(f(j) for j in cut)
@@ -172,16 +175,23 @@ class ExploreSolver:
             ]
             if not candidates:
                 break
+            changes = self._changes
             for j in candidates:
                 rest = sum(f(k) for k in cut) - f(j)
                 sub: ExploreResult = yield (j, m_avail - rest)
-                peak_of[j] = sub.peak
+                if peak_of[j] != sub.peak:
+                    peak_of[j] = sub.peak
+                    self._changes += 1
                 if sub.resident <= f(j) + _EPS:
                     # Merge the child's cut in place of the child (lines 16-18).
                     idx = cut.index(j)
                     cut[idx : idx + 1] = list(sub.cut)
                     chunks.append(sub.traversal_chunks)
                     required = max(required, rest + sub.required)
+                    self._changes += 1
+            if self._changes == changes:
+                # nothing changed, so the next pass would repeat this one
+                break
 
         resident = sum(f(j) for j in cut)
         if cut:
@@ -191,4 +201,4 @@ class ExploreSolver:
         self._states[node] = _ResumeState(
             cut=list(cut), chunks=list(chunks), required=required
         )
-        return ExploreResult(resident, tuple(cut), tuple(chunks), peak, required)
+        return ExploreResult(resident, tuple(cut), list(chunks), peak, required)

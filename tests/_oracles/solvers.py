@@ -13,13 +13,18 @@ import math
 from dataclasses import replace
 from typing import Any, Optional
 
-from repro.core.liu import flatten_nodes
 from repro.core.traversal import TOPDOWN, Traversal, peak_memory
 from repro.core.tree import Tree
 from repro.solvers.registry import get_solver
 from repro.solvers.report import SolveReport
 
-from .core import liu_optimal_traversal, min_mem, postorder_with_rule, run_out_of_core
+from .core import (
+    flatten_nodes,
+    liu_optimal_traversal,
+    min_mem,
+    postorder_with_rule,
+    run_out_of_core,
+)
 from .explore import ExploreSolver
 
 __all__ = ["solve"]

@@ -26,10 +26,10 @@ from typing import List, Tuple
 import pytest
 
 import _oracles
+from _oracles import flatten_nodes
 from _oracles.bruteforce import optimal_min_memory, optimal_postorder_memory
 from _oracles.explore import ExploreSolver
 from repro.core.kernel import KernelExploreSolver
-from repro.core.liu import flatten_nodes
 from repro.core.tree import Tree
 from repro.solvers import solve, solver_table
 

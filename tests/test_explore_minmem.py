@@ -1,17 +1,21 @@
 """Unit tests for the Explore algorithm and the MinMem exact solver."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.builders import chain_tree, from_parent_list, star_tree
-from repro.core.liu import flatten_nodes, liu_min_memory
+from repro.core.liu import liu_min_memory
 from repro.core.minmem import min_mem, min_memory
 from repro.core.postorder import best_postorder
 from repro.core.traversal import TOPDOWN, check_in_core, is_topological, peak_memory
+from repro.core.tree import Tree
 from repro.generators.harpoon import harpoon_tree, iterated_harpoon_tree
 
 from _helpers import make_random_tree
+from _oracles import flatten_nodes
 from _oracles.bruteforce import optimal_min_memory
 from _oracles.core import min_mem as oracle_min_mem
 from _oracles.explore import ExploreSolver
@@ -132,3 +136,46 @@ class TestMinMem:
         res = min_mem(t)
         assert res.iterations >= 1
         assert res.explore_calls >= res.iterations
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise ``TimeoutError`` in the block after ``seconds``, so that a
+    solver that loops forever fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "solver", [min_mem, oracle_min_mem], ids=["kernel", "oracle"]
+)
+def test_a_pass_that_changes_nothing_ends_its_node(solver):
+    # At file sizes near 1e9 the admission test (headroom + f_j) and the
+    # child's budget (avail - (total - f_j)) round differently, and the
+    # absolute tolerance is below the float spacing: the second sweep's
+    # root admits node 1 on a budget with which node 1 admits none of its
+    # children, so the root's pass changes nothing.  Repeating that pass
+    # forever is the livelock; ending the node instead leaves MinMem to
+    # find Liu's optimum or to report its floating-point stall.
+    tree = Tree.from_parents(
+        [-1, 0, 1, 1],
+        f=[196938310.6007121, 4703980.108759609, 656855979.254854, 952054501.3424805],
+        n=[31629590.208869763, 0.0, 31850652.33900364, 59801621.44657785],
+    )
+    with _deadline(20):
+        try:
+            memory = solver(tree).memory
+        except RuntimeError as exc:
+            assert "floating-point stall" in str(exc)
+        else:
+            assert memory == liu_min_memory(tree)

@@ -40,7 +40,7 @@ from repro.core.kernel import (
     kernel_min_mem,
     kernel_postorder,
 )
-from repro.core.liu import flatten_nodes, liu_optimal_traversal
+from repro.core.liu import liu_optimal_traversal
 from repro.core.minmem import min_mem
 from repro.core.postorder import postorder_with_rule
 from repro.core.tree import Tree, TreeValidationError
@@ -212,7 +212,7 @@ class TestEngineEquivalence:
         for seg_k, seg_r in zip(kernel.segments, reference.segments):
             assert seg_k.hill == pytest.approx(seg_r.hill)
             assert seg_k.valley == pytest.approx(seg_r.valley)
-            assert seg_k.nodes == tuple(flatten_nodes(seg_r.nodes))
+            assert seg_k.nodes == tuple(_oracles.flatten_nodes(seg_r.nodes))
 
     def test_explore_solver_parity_under_memory_pressure(self):
         rng = random.Random(99)
@@ -421,7 +421,7 @@ class TestExploreSolver:
                 )
                 assert [kern.ids[j] for j in cut] == list(ref.cut)
                 assert kern.order_to_ids(order) == tuple(
-                    flatten_nodes(ref.traversal_chunks)
+                    _oracles.flatten_nodes(ref.traversal_chunks)
                 )
                 assert kernel.explore_calls == oracle.explore_calls
         assert root_restarts > 0

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.builders import chain_tree, from_parent_list, star_tree
-from repro.core.liu import flatten_nodes, liu_min_memory, liu_optimal_traversal
+from repro.core.liu import liu_min_memory, liu_optimal_traversal
 from repro.core.postorder import best_postorder
 from repro.core.traversal import check_in_core, is_topological, peak_memory
 from repro.generators.harpoon import harpoon_tree, optimal_memory_bound
 
 from _helpers import make_random_tree
+from _oracles import flatten_nodes
 from _oracles.bruteforce import optimal_min_memory
 
 
@@ -37,8 +38,14 @@ class TestBasics:
             assert check_in_core(t, res.memory, res.traversal)
 
     def test_flatten_nodes(self):
-        nested = ((1, (2, 3)), 4, ((5,),))
+        # the oracles' chunks are lists; a node id that is a tuple stays whole
+        nested = [[1, [2, 3]], 4, [[5]]]
         assert flatten_nodes(nested) == [1, 2, 3, 4, 5]
+        assert flatten_nodes([("r", 0), [("a", 1), [("b", 2)]]]) == [
+            ("r", 0),
+            ("a", 1),
+            ("b", 2),
+        ]
 
 
 class TestOptimality:
@@ -78,7 +85,7 @@ class TestSegments:
         for _ in range(20):
             t = make_random_tree(rng.randint(1, 25), rng)
             res = liu_optimal_traversal(t)
-            nodes = [v for seg in res.segments for v in flatten_nodes(seg.nodes)]
+            nodes = [v for seg in res.segments for v in seg.nodes]
             assert sorted(nodes, key=str) == sorted(t.nodes(), key=str)
 
     def test_subtree_peaks_consistent(self, rng):
