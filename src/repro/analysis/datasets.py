@@ -49,8 +49,12 @@ __all__ = ["TreeInstance", "matrix_suite", "assembly_tree_dataset", "random_tree
 
 SCALES = ("tiny", "small", "full")
 
-#: minimum-degree ordering is skipped above this size (its elimination-graph
-#: implementation is exact and becomes slow on large power-law graphs)
+#: minimum-degree ordering is skipped above this size.  Speed is no longer the
+#: reason: with followers eliminated in groups it orders every "full" matrix in
+#: 4-125 ms (random-800 the slowest; 2-vCPU Xeon, CPython 3.11), where the
+#: one-pivot loop took up to 1.4 s.  Raising the limit would add instances to
+#: the "full" data set (every "full" matrix but ba-600 is larger) and so change
+#: Figure 6; the "tiny" and "small" matrices all stay below it.
 _MD_SIZE_LIMIT = 700
 
 

@@ -86,7 +86,8 @@ def build_assembly_tree(
     ordering:
         Name of a fill-reducing ordering (``"natural"``, ``"rcm"``,
         ``"minimum_degree"``, ``"nested_dissection"``) or an explicit
-        permutation array.
+        permutation: a 1-D integer array of length ``n`` holding each of
+        ``0..n-1`` exactly once (anything else raises ``ValueError``).
     relaxed:
         Relaxed-amalgamation budget per supernode (the paper uses 1, 2, 4
         and 16).
@@ -118,7 +119,7 @@ def build_assembly_tree(
         perm = staged("ordering", lambda: ORDERINGS[ordering](pattern))
         ordering_name = ordering
     else:
-        perm = np.asarray(ordering, dtype=np.int64)
+        perm = _custom_permutation(ordering, pattern.shape[0])
         ordering_name = "custom"
     permuted = staged("permute", lambda: apply_ordering(pattern, perm))
 
@@ -146,6 +147,20 @@ def build_assembly_tree(
         ordering=ordering_name,
         relaxed=relaxed,
     )
+
+
+def _custom_permutation(ordering: Sequence[int], n: int) -> np.ndarray:
+    """``ordering`` as an int64 permutation of ``0..n-1``, checked."""
+    perm = np.asarray(ordering)
+    if perm.ndim != 1:
+        raise ValueError(f"a custom ordering must be 1-D, got {perm.ndim} dimensions")
+    if not np.issubdtype(perm.dtype, np.integer):
+        raise ValueError(f"a custom ordering must hold integers, got dtype {perm.dtype}")
+    if perm.size != n:
+        raise ValueError(f"a custom ordering must have length {n}, got {perm.size}")
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"a custom ordering must hold each of 0..{n - 1} exactly once")
+    return perm.astype(np.int64)
 
 
 def assembly_tree_from_etree(amalgamated: AmalgamatedTree) -> Tree:

@@ -177,17 +177,30 @@ def pseudo_peripheral_vertex(
 
     Implements the George--Liu heuristic: start from ``vertices[0]`` and
     move to the first vertex of least degree (in the whole graph) of the
-    last BFS level until the eccentricity stops growing.  Used by the
-    nested-dissection separator.  ``marks`` must have ``vertices`` selected;
-    a fresh selection is made when it is omitted.
+    last BFS level until the eccentricity stops growing.  On a disconnected
+    subset the search stays in the component of ``vertices[0]``, whose
+    vertices are then the subset of ``marks``.  The nested-dissection
+    separator runs the same search in two steps, the first BFS and then
+    :func:`_pseudo_peripheral`, so that the first BFS also tests the
+    subset's connectivity.  ``marks`` must have ``vertices`` selected; a
+    fresh selection is made when it is omitted.
     """
     if len(vertices) == 0:
         raise ValueError("empty vertex set")
     if marks is None:
         marks = VertexMarks(len(adjacency))
         marks.select(vertices)
-    current = vertices[0]
-    levels = _levels(adjacency, current, marks)
+    start = vertices[0]
+    return _pseudo_peripheral(adjacency, start, _levels(adjacency, start, marks), marks)
+
+
+def _pseudo_peripheral(
+    adjacency: Sequence[Sequence[int]],
+    current: int,
+    levels: List[List[int]],
+    marks: VertexMarks,
+) -> Tuple[int, List[List[int]]]:
+    """The George--Liu search continued from ``current`` and its ``levels``."""
     while True:
         candidate = min(levels[-1], key=lambda v: len(adjacency[v]))
         new_levels = _levels(adjacency, candidate, marks)

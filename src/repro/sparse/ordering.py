@@ -8,7 +8,8 @@ top of the symmetrized pattern:
 * :func:`natural_ordering` -- the identity permutation (baseline);
 * :func:`rcm_ordering` -- reverse Cuthill--McKee (band-reducing, deep trees);
 * :func:`minimum_degree_ordering` -- greedy (exact external) minimum degree
-  with an elimination graph, the classical fill-reducing heuristic;
+  with an elimination graph, the classical fill-reducing heuristic, which
+  eliminates a pivot's followers with it (mass elimination);
 * :func:`nested_dissection_ordering` -- recursive vertex separators obtained
   from BFS level structures rooted at pseudo-peripheral vertices (bushy,
   well-balanced trees, the MeTiS stand-in).
@@ -28,9 +29,10 @@ import scipy.sparse as sp
 
 from .graph import (
     VertexMarks,
+    _levels,
+    _pseudo_peripheral,
     adjacency_lists,
     connected_components,
-    pseudo_peripheral_vertex,
     symmetrized_pattern,
 )
 
@@ -64,9 +66,10 @@ def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
 
     At every step the live vertex of least (current degree, index) is
     eliminated and its neighbourhood is turned into a clique; this is an
-    exact-degree variant of AMD.  The priority queue holds, for every live
-    vertex, an entry at its current degree, pushed when that degree last
-    changed; any other entry is stale and is dropped when popped.
+    exact-degree variant of AMD.  The pivot's *followers*, the clique
+    members whose closed neighbourhood is now exactly the clique, are the
+    next pivots by that same rule, so they are eliminated with it in one
+    step (George and Liu's mass elimination); see :func:`_minimum_degree`.
 
     >>> from repro.sparse.matrices import grid_laplacian_2d
     >>> minimum_degree_ordering(grid_laplacian_2d(3)).tolist()
@@ -78,11 +81,31 @@ def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
 
 
 def _minimum_degree(neighbours: List[Set[int]]) -> List[int]:
-    """Elimination order of the graph ``neighbours`` (updated in place)."""
+    """Elimination order of the graph ``neighbours`` (updated in place).
+
+    The order is the one of the one-pivot-at-a-time rule: eliminate the live
+    vertex of least (current degree, index).  The priority queue holds, for
+    every live vertex, an entry at its current degree, pushed when that
+    degree last changed; any other entry is stale and is dropped when popped.
+
+    When pivot ``v`` of degree ``d`` goes, its neighbourhood ``C`` becomes a
+    clique.  A vertex outside ``C`` keeps its degree, at least ``d``; a member
+    ``w`` of ``C`` gains ``C - {w}``, so its degree is ``d - 1`` exactly when
+    its closed neighbourhood is ``C``: then ``w`` is a *follower*.  The
+    followers are the next pivots, in index order: each one adds no edge (its
+    neighbourhood is already a clique) and only leaves the other members of
+    ``C``, so every other follower stays at the least degree and every other
+    member, which had at least ``d``, stays above them.  The loop therefore
+    eliminates them right after ``v``, removes them from the other members
+    in one pass and pushes each of those members' final degree once (the
+    entry pushed for ``v``'s update is then stale), instead of forming
+    ``|C| - 1`` cliques that are already formed.
+    """
     heap = [(len(nbrs), v) for v, nbrs in enumerate(neighbours)]
     heapq.heapify(heap)
     eliminated = [False] * len(neighbours)
     order: List[int] = []
+    followers: List[int] = []
     while heap:
         degree, v = heapq.heappop(heap)
         clique = neighbours[v]
@@ -96,8 +119,24 @@ def _minimum_degree(neighbours: List[Set[int]]) -> List[int]:
             nbrs.discard(v)
             nbrs |= clique
             nbrs.discard(w)
-            if len(nbrs) != before:
+            after = len(nbrs)
+            if after < degree:
+                followers.append(w)
+            elif after != before:
+                heapq.heappush(heap, (after, w))
+        if not followers:
+            continue
+        followers.sort()
+        order.extend(followers)
+        for y in followers:
+            eliminated[y] = True
+        gone = set(followers)
+        for w in clique:
+            if not eliminated[w]:
+                nbrs = neighbours[w]
+                nbrs -= gone
                 heapq.heappush(heap, (len(nbrs), w))
+        followers.clear()
     return order
 
 
@@ -112,6 +151,12 @@ def nested_dissection_ordering(
     ordered recursively, then the separator vertices are numbered last, which
     yields the characteristic bushy assembly trees of graph-partitioning
     orderings.
+
+    The pseudo-peripheral search's first BFS, from the subgraph's first
+    vertex, is also its connectivity test: it reaches every vertex exactly
+    when the subgraph is connected.  Only a subgraph it does not cover is
+    split into its connected components, which are ordered in turn; the
+    search goes on only on a connected one.
 
     >>> from repro.sparse.matrices import grid_laplacian_2d
     >>> nested_dissection_ordering(grid_laplacian_2d(4), leaf_size=4).tolist()
@@ -141,11 +186,13 @@ def nested_dissection_ordering(
             order.extend(order_small(vertices))
             continue
         marks.select(vertices)
-        components = connected_components(adjacency, vertices, marks)
-        if len(components) > 1:
-            stack.extend(components)
+        start = vertices[0]
+        levels = _levels(adjacency, start, marks)
+        if sum(map(len, levels)) < len(vertices):
+            marks.select(vertices)
+            stack.extend(connected_components(adjacency, vertices, marks))
             continue
-        _, levels = pseudo_peripheral_vertex(adjacency, vertices, marks)
+        _, levels = _pseudo_peripheral(adjacency, start, levels, marks)
         if len(levels) < 3:
             order.extend(order_small(vertices))
             continue

@@ -2,8 +2,10 @@
 
 ``minimum_degree_ordering`` and ``nested_dissection_ordering`` must return
 the oracle's int64 permutation on every input, tie-breaks included: drawn
-symmetric patterns (forests and isolated vertices among them), every
-labelled graph on at most five vertices, and the data-set matrix suites.
+symmetric patterns (forests and isolated vertices among them), drawn graphs
+rich in minimum-degree followers (cliques, complete bipartite blocks and
+twin vertices), every labelled graph on at most five vertices, and the
+data-set matrix suites.
 The two oracles (``tests/_oracles/sparse.py``) share nothing with the
 code under test but ``symmetrized_pattern``.
 """
@@ -58,6 +60,49 @@ def symmetric_patterns(draw, max_vertices: int = 60):
 @given(matrix=symmetric_patterns(), leaf_size=st.sampled_from((1, 2, 3, 4, 8, 32)))
 def test_drawn_patterns(matrix, leaf_size):
     assert_identical(matrix, (leaf_size,))
+
+
+@st.composite
+def follower_rich_patterns(draw, max_base: int = 24, max_twins: int = 16):
+    """Graphs whose minimum-degree pivots have followers: cliques and
+    complete bipartite blocks over drawn vertex sets, then twins (a new
+    vertex copies an earlier vertex's open or closed neighbourhood), with
+    the vertices relabelled by a drawn permutation."""
+    n = draw(st.integers(min_value=1, max_value=max_base))
+    neighbours = [set() for _ in range(n)]
+
+    def join(a, b):
+        if a != b:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        members = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True))
+        if draw(st.booleans()):
+            for a, b in combinations(members, 2):
+                join(a, b)
+        else:
+            cut = draw(st.integers(min_value=0, max_value=len(members)))
+            for a in members[:cut]:
+                for b in members[cut:]:
+                    join(a, b)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_twins))):
+        original = draw(st.integers(min_value=0, max_value=len(neighbours) - 1))
+        copied = set(neighbours[original])
+        if draw(st.booleans()):
+            copied.add(original)
+        neighbours.append(set())
+        for w in copied:
+            join(len(neighbours) - 1, w)
+    edges = [(v, w) for v, nbrs in enumerate(neighbours) for w in nbrs if v < w]
+    label = draw(st.permutations(range(len(neighbours))))
+    return pattern(len(neighbours), [(label[i], label[j]) for i, j in edges])
+
+
+@settings(max_examples=150)
+@given(matrix=follower_rich_patterns())
+def test_drawn_follower_rich_graphs(matrix):
+    assert_identical(matrix, (1, 2, 4, 32))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.core.liu import liu_min_memory
 from repro.core.postorder import best_postorder
-from repro.sparse.assembly import assembly_tree_from_etree, build_assembly_tree
+from repro.sparse.assembly import build_assembly_tree
 from repro.sparse.matrices import grid_laplacian_2d, random_spd
 from repro.sparse.ordering import ORDERINGS
 
@@ -46,6 +46,34 @@ class TestBuildAssemblyTree:
     def test_unknown_ordering(self):
         with pytest.raises(ValueError):
             build_assembly_tree(grid_laplacian_2d(4), ordering="magic")
+
+    @pytest.mark.parametrize(
+        "ordering, rule",
+        [
+            pytest.param([0] * 16, "each of 0..15 exactly once", id="repeated"),
+            pytest.param(list(range(8)), "length 16", id="short"),
+            pytest.param([0.5] * 16, "integers", id="float"),
+            pytest.param([-1] + list(range(1, 16)), "each of 0..15 exactly once", id="negative"),
+            pytest.param(list(range(17)), "length 16", id="long"),
+            pytest.param(np.arange(16).reshape(4, 4), "1-D", id="2d"),
+        ],
+    )
+    def test_custom_ordering_must_be_a_permutation(self, ordering, rule):
+        with pytest.raises(ValueError, match=rule):
+            build_assembly_tree(grid_laplacian_2d(4), ordering=ordering)
+
+    def test_custom_permutation_gives_the_named_orderings_tree(self):
+        a = grid_laplacian_2d(6)
+        named = build_assembly_tree(a, ordering="minimum_degree", relaxed=1)
+        custom = build_assembly_tree(a, ordering=named.permutation.tolist(), relaxed=1)
+        assert custom.ordering == "custom"
+        assert np.array_equal(custom.permutation, named.permutation)
+        assert np.array_equal(custom.etree_parent, named.etree_parent)
+
+        def nodes(tree):
+            return [(v, tree.parent(v), tree.f(v), tree.n(v)) for v in tree.nodes()]
+
+        assert nodes(custom.tree) == nodes(named.tree)
 
     def test_relaxation_shrinks_tree(self):
         a = grid_laplacian_2d(10)

@@ -1,9 +1,11 @@
 """Unit tests for the fill-reducing orderings."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.sparse.matrices import banded_spd, grid_laplacian_2d, random_spd
+from repro.sparse.matrices import banded_spd, grid_laplacian_2d, grid_laplacian_3d, random_spd
 from repro.sparse.ordering import (
     ORDERINGS,
     apply_ordering,
@@ -87,3 +89,20 @@ class TestQuality:
         a = grid_laplacian_2d(8)
         for name, func in ORDERINGS.items():
             assert np.array_equal(func(a), func(a)), name
+
+
+@pytest.mark.parametrize(
+    "ordering, matrix, crc",
+    [
+        pytest.param(minimum_degree_ordering, lambda: grid_laplacian_2d(80), 0xE6FB571D, id="md-grid2d-80"),
+        pytest.param(minimum_degree_ordering, lambda: grid_laplacian_3d(12), 0x5E158176, id="md-grid3d-12"),
+        pytest.param(nested_dissection_ordering, lambda: grid_laplacian_2d(120), 0x57740127, id="nd-grid2d-120"),
+    ],
+)
+def test_benchmark_scale_permutations_are_pinned(ordering, matrix, crc):
+    """The permutations of the benchmark's MD and ND matrices, pinned by
+    crc32 of their little-endian int64 bytes: a faster ordering must keep
+    every tie-break, and the differential gate stops at 576 rows."""
+    perm = ordering(matrix())
+    assert perm.dtype == np.int64
+    assert zlib.crc32(perm.astype("<i8").tobytes()) == crc
