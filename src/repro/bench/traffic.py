@@ -291,7 +291,7 @@ class _StdioTransport:
     async def _read_line(self) -> Optional[str]:
         return await self._lines.get()
 
-    async def _write_line(self, text: str) -> None:
+    def _write_line(self, text: str) -> None:
         doc = json.loads(text)
         waiter = self._waiters.pop(doc.get("id", ""), None)
         if waiter is not None and not waiter.done():

@@ -792,8 +792,8 @@ class KernelExploreSolver:
       copied, since it stays the child's saved state.  A merge into a list
       is linear: an empty sub-cut leaves a hole (``-1``) and a one-entry
       sub-cut overwrites the child's slot, and the holes are dropped once,
-      at the end of the pass; only a sub-cut of two or more entries is
-      spliced in.
+      at the end of the pass (a cut of holes only becomes :data:`_DONE`);
+      only a sub-cut of two or more entries is spliced in.
 
     A pass that tried candidates but changed nothing -- no node executed or
     restarted, no merge, no ``peak_of`` value changed -- ends its node as if
@@ -807,7 +807,13 @@ class KernelExploreSolver:
     A merged child's list is shared by reference, so re-exploring that
     child would rewrite its ancestor's traversal.  The solver is therefore
     entered only at the root: a node is explored again only after every
-    ancestor that merged it has restarted and dropped that traversal.
+    ancestor that merged it has restarted and dropped that traversal.  A
+    node restarts -- is executed again -- when a call cannot afford the
+    traversal it saved, and it forgets every state below it: the states
+    there described the dropped traversal (a child explored to the end has
+    ``peak_of = inf``; a merged child's cut entries moved on without it),
+    so its subtree is explored afresh.  In MinMem the budget only rises
+    and a cut's total only shrinks, so no node restarts there.
 
     Parameters
     ----------
@@ -855,6 +861,24 @@ class KernelExploreSolver:
             order.append(v)
         return order
 
+    def _forget_below(self, lo: int, hi: int) -> None:
+        # a restarted node forgets every state below its children
+        # child_idx[lo:hi] (see the class docstring).  A node without a
+        # state has none below it and peak_of at mem_req: the walk stops
+        # there, so it costs what the forgotten exploration had reached.
+        child_ptr = self.kern.child_ptr
+        child_idx = self.kern.child_idx
+        mem_req = self.kern.mem_req
+        peak_of = self._peak_of
+        state_cut = self._state_cut
+        stack = child_idx[lo:hi]
+        while stack:
+            k = stack.pop()
+            if state_cut[k] is not None:
+                state_cut[k] = None
+                peak_of[k] = mem_req[k]
+                stack += child_idx[child_ptr[k] : child_ptr[k + 1]]
+
     def _sweep(self, m_avail: float) -> Tuple[float, float, float]:
         # one root Explore call: (resident, peak, required), resident = inf
         # when the root itself cannot be executed
@@ -887,6 +911,8 @@ class KernelExploreSolver:
                 return inf, mem_req[0], 0.0
             # execute the root (paper lines 10-11)
             hi = child_ptr[1]  # the root's children start at 0
+            if cut is not None:
+                self._forget_below(0, hi)
             one = hi == 1
             if hi > 1:
                 cut = state_cut[0] = child_idx[:hi]
@@ -928,8 +954,9 @@ class KernelExploreSolver:
                         resident = total
                         peak = peak_of[c] + (total - fc)
                         break
+                    ccut = state_cut[c]
                     if (
-                        state_cut[c] is not None and state_required[c] <= avail + _EPS
+                        ccut is not None and state_required[c] <= avail + _EPS
                     ) or mem_req[c] > avail + _EPS:
                         # c is resumed or cannot run: `node` makes a
                         # generic pass, with a frame of its own
@@ -942,6 +969,8 @@ class KernelExploreSolver:
                     changes += 1
                     lo = child_ptr[c]
                     hi = child_ptr[c + 1]
+                    if ccut is not None:
+                        self._forget_below(lo, hi)
                     if lo == hi:
                         # a leaf runs in place and `node` merges its empty cut
                         peak_of[c] = inf
@@ -1019,6 +1048,8 @@ class KernelExploreSolver:
                     changes += 1
                     lo = child_ptr[j]
                     hi = child_ptr[j + 1]
+                    if jcut is not None:
+                        self._forget_below(lo, hi)
                     if lo == hi:
                         # a leaf runs in place: resident 0, peak inf, and its
                         # empty cut is merged in place of it (lines 16-18)
@@ -1062,7 +1093,10 @@ class KernelExploreSolver:
                 if one:
                     continue
                 if holes:
-                    cut = state_cut[node] = [k for k in cut if k >= 0]
+                    if holes == len(cut):  # every entry merged away
+                        cut = state_cut[node] = _DONE
+                    else:
+                        cut = state_cut[node] = [k for k in cut if k >= 0]
                     holes = 0
                 if changes != mark and cut:
                     # the cut changed: start a new pass with the new headroom

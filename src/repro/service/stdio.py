@@ -11,14 +11,21 @@ deterministic to drive.  Each input line is either a solve request (the
 The ``metrics`` body is the same Prometheus text document ``GET /metrics``
 serves on the HTTP front end, carried as one JSON string.
 
-Requests run concurrently -- the reader never blocks on a solve -- and
-responses are written as they complete, one JSON document per line, matched
-to requests by ``id``.  EOF (or ``shutdown``) stops the reader; in-flight
-requests still drain to a response line before :func:`serve_stdio` returns.
+Requests run concurrently -- intake never waits on a solve -- and responses
+are written as they complete, one JSON document per line, matched to
+requests by ``id``.  Requests are admitted in line order, so a ``stats``
+line counts every request above it.  EOF (or ``shutdown``) stops intake;
+in-flight requests still drain to a response line before
+:func:`serve_stdio` returns.
 
 A line longer than the HTTP front end's body cap is read no further than
 the cap, drained to its end and answered with ``bad_request``; the next
 line is served as usual.
+
+:func:`run_stdio_server` reads stdin on one reader thread that lives as
+long as the daemon, and writes every response on the event loop's thread.
+While a response write blocks, the loop takes no new line: a client that
+stops reading stdout stalls intake too.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ import asyncio
 import json
 import os
 import sys
-from typing import Any, Awaitable, Callable, Dict, Optional
+import threading
+from typing import Any, Awaitable, Callable, Dict, Optional, TextIO, Tuple
 
 from .daemon import SolverService
 from .errors import BadRequestError
@@ -37,7 +45,7 @@ from .protocol import error_response
 __all__ = ["serve_stdio", "run_stdio_server"]
 
 ReadLine = Callable[[], Awaitable[Optional[str]]]
-WriteLine = Callable[[str], Awaitable[None]]
+WriteLine = Callable[[str], None]
 
 
 async def serve_stdio(
@@ -47,32 +55,31 @@ async def serve_stdio(
 ) -> Dict[str, Any]:
     """Serve NDJSON requests until EOF; returns the final stats snapshot.
 
-    ``read_line`` yields one line per call (``None`` at EOF) and raises
-    :class:`BadRequestError` for a line it refuses to read; ``write_line``
-    emits one line.  Both are async callables, so tests can drive the front
-    end with in-memory queues and the CLI can wrap real stdin/stdout.
+    ``read_line`` is an async callable yielding one line per call (``None``
+    at EOF); it raises :class:`BadRequestError` for a line it refuses to
+    read.  ``write_line`` is a plain callable that writes one whole line
+    before it returns.  It is called on the event loop's thread only, so
+    response lines never interleave.  Tests drive the front end with
+    in-memory queues; the CLI wires it to real stdin/stdout.
     """
-    write_lock = asyncio.Lock()
-    tasks: set = set()
+    waiting: set = set()
 
-    async def emit(doc: Dict[str, Any]) -> None:
-        text = json.dumps(doc, separators=(",", ":"))
-        async with write_lock:  # response lines must never interleave
-            await write_line(text)
+    def emit(doc: Dict[str, Any]) -> None:
+        write_line(json.dumps(doc, separators=(",", ":")))
 
-    async def run_one(doc: Dict[str, Any]) -> None:
-        response = await service.handle(doc)
-        await emit(response.to_dict())
+    def respond(future: "asyncio.Future") -> None:
+        waiting.discard(future)
+        emit(future.result().to_dict())
 
-    async def refuse(exc: BadRequestError) -> None:
+    def refuse(exc: BadRequestError) -> None:
         service.stats.bad_requests += 1
-        await emit(error_response(None, exc).to_dict())
+        emit(error_response(None, exc).to_dict())
 
     while True:
         try:
             line = await read_line()
         except BadRequestError as exc:
-            await refuse(exc)
+            refuse(exc)
             continue
         if line is None:
             break
@@ -82,16 +89,16 @@ async def serve_stdio(
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            await refuse(BadRequestError(f"invalid JSON line: {exc}"))
+            refuse(BadRequestError(f"invalid JSON line: {exc}"))
             continue
         op = doc.get("op") if isinstance(doc, dict) else None
         if op == "stats":
-            await emit({"op": "stats", "stats": service.snapshot()})
+            emit({"op": "stats", "stats": service.snapshot()})
             continue
         if op == "metrics":
             from ..obs import PROMETHEUS_CONTENT_TYPE
 
-            await emit({
+            emit({
                 "op": "metrics",
                 "content_type": PROMETHEUS_CONTENT_TYPE,
                 "body": service.render_metrics(),
@@ -99,64 +106,99 @@ async def serve_stdio(
             continue
         if op == "shutdown":
             break
-        task = asyncio.ensure_future(run_one(doc))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
+        future = service.handle_nowait(doc)
+        waiting.add(future)
+        future.add_done_callback(respond)
 
-    if tasks:
-        await asyncio.gather(*tasks)
+    if waiting:
+        # `respond` was added first, so each response is written before
+        # the wait sees its future done
+        await asyncio.wait(waiting)
     return service.snapshot()
 
 
-def _open_stdin():
-    """A private text stream over stdin's descriptor (``sys.stdin`` if none).
+def _open_stdin() -> Tuple[TextIO, bool]:
+    """A private text stream over stdin's descriptor, and whether it is ours.
 
     Worker processes forked by a process pool close the inherited
     ``sys.stdin`` as they start.  If the reader thread is blocked in
     ``sys.stdin.readline()`` at fork time, the child inherits that stream's
     lock held and waits on it forever.  A stream over a duplicate
-    descriptor leaves ``sys.stdin``'s lock free.
+    descriptor leaves ``sys.stdin``'s lock free.  An in-memory stand-in
+    has no descriptor and nothing a fork can block on; it is read as is.
     """
     try:
         fd = sys.stdin.fileno()
-    except OSError:  # an in-memory stand-in: nothing a fork can block on
-        return sys.stdin
-    return open(os.dup(fd), encoding=sys.stdin.encoding, errors=sys.stdin.errors)
+    except OSError:
+        return sys.stdin, False
+    stream = open(os.dup(fd), encoding=sys.stdin.encoding, errors=sys.stdin.errors)
+    return stream, True
+
+
+def _read_capped(stdin: TextIO) -> Optional[str]:
+    """One line of ``stdin`` (``None`` at EOF), read no further than the cap."""
+    line = stdin.readline(MAX_BODY_BYTES + 1)
+    if len(line) > MAX_BODY_BYTES and not line.endswith("\n"):
+        while line and not line.endswith("\n"):  # drain the rest
+            line = stdin.readline(MAX_BODY_BYTES)
+        raise BadRequestError(f"request line exceeds {MAX_BODY_BYTES} characters")
+    return line or None
+
+
+def _read_lines(
+    stdin: TextIO, owned: bool, loop: asyncio.AbstractEventLoop, deliver: Callable
+) -> None:
+    """The reader thread: hand each line, refusal and EOF to the loop.
+
+    It ends after EOF or an unreadable stream, and quietly once the loop
+    is closed.  After a ``shutdown`` line it stays blocked in ``readline``
+    until the next line or EOF: nothing closes the stream under it, since
+    closing a buffered stream waits for the lock that the blocked read
+    holds.  Being a daemon thread, it does not keep the process alive.
+    """
+    while True:
+        try:
+            item = _read_capped(stdin)
+        except Exception as exc:  # a refused line, or an unreadable stream
+            item = exc
+        try:
+            loop.call_soon_threadsafe(deliver, item)
+        except RuntimeError:  # the loop is closed: nobody reads any more
+            break
+        if not isinstance(item, (str, BadRequestError)):  # EOF, or unreadable
+            break
+    if owned:
+        stdin.close()
 
 
 async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
     """Wire :func:`serve_stdio` to the real stdin/stdout of the process.
 
-    Reading happens on the default thread executor so a quiet stdin never
-    blocks the event loop (and the daemon keeps solving while waiting).
-    A line is read at most :data:`MAX_BODY_BYTES` characters at a time, so
-    one endless line cannot grow the daemon without bound.
+    One reader thread reads stdin, a line at most :data:`MAX_BODY_BYTES`
+    characters at a time so one endless line cannot grow the daemon
+    without bound, and hands the lines to the event loop; a quiet stdin
+    never blocks the loop.  Each response is written and flushed on the
+    loop's thread, which also starts the engine's worker processes, so no
+    fork lands in the middle of a write.
     """
     loop = asyncio.get_running_loop()
-    stdin = _open_stdin()
-
-    def _read_blocking() -> Optional[str]:
-        line = stdin.readline(MAX_BODY_BYTES + 1)
-        if len(line) > MAX_BODY_BYTES and not line.endswith("\n"):
-            while line and not line.endswith("\n"):  # drain the rest
-                line = stdin.readline(MAX_BODY_BYTES)
-            raise BadRequestError(
-                f"request line exceeds {MAX_BODY_BYTES} characters"
-            )
-        return line if line else None
+    lines: "asyncio.Queue" = asyncio.Queue()
+    stdin, owned = _open_stdin()
+    threading.Thread(
+        target=_read_lines,
+        args=(stdin, owned, loop, lines.put_nowait),
+        name="repro-stdio-reader",
+        daemon=True,
+    ).start()
 
     async def read_line() -> Optional[str]:
-        return await loop.run_in_executor(None, _read_blocking)
+        item = await lines.get()
+        if isinstance(item, Exception):
+            raise item
+        return item
 
-    def _write_blocking(text: str) -> None:
+    def write_line(text: str) -> None:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
 
-    async def write_line(text: str) -> None:
-        await loop.run_in_executor(None, _write_blocking, text)
-
-    try:
-        return await serve_stdio(service, read_line, write_line)
-    finally:
-        if stdin is not sys.stdin:
-            stdin.close()
+    return await serve_stdio(service, read_line, write_line)

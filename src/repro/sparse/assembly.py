@@ -116,7 +116,10 @@ def build_assembly_tree(
             raise ValueError(
                 f"unknown ordering {ordering!r}; expected one of {sorted(ORDERINGS)}"
             )
-        perm = staged("ordering", lambda: ORDERINGS[ordering](pattern))
+        # `pattern` is symmetric already: the ordering skips its own pass
+        perm = staged(
+            "ordering", lambda: ORDERINGS[ordering](pattern, symmetrize=False)
+        )
         ordering_name = ordering
     else:
         perm = _custom_permutation(ordering, pattern.shape[0])

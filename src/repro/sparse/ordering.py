@@ -16,7 +16,9 @@ top of the symmetrized pattern:
 
 Every function returns a permutation array ``perm`` such that the matrix to
 factor is ``A[perm][:, perm]`` -- i.e. ``perm[k]`` is the original index of
-the ``k``-th pivot.
+the ``k``-th pivot.  Each takes ``symmetrize=False`` for a pattern that is
+already structurally symmetric (the pipeline's symmetrized pattern), the
+convention of :func:`~repro.sparse.etree.elimination_tree`.
 """
 
 from __future__ import annotations
@@ -47,21 +49,27 @@ __all__ = [
 ]
 
 
-def natural_ordering(matrix: sp.spmatrix) -> np.ndarray:
-    """Identity permutation."""
+def natural_ordering(matrix: sp.spmatrix, *, symmetrize: bool = True) -> np.ndarray:
+    """Identity permutation (``symmetrize`` is accepted and unused)."""
     return np.arange(matrix.shape[0], dtype=np.int64)
 
 
-def rcm_ordering(matrix: sp.spmatrix) -> np.ndarray:
+def _pattern(matrix: sp.spmatrix, symmetrize: bool) -> sp.csr_matrix:
+    return symmetrized_pattern(matrix) if symmetrize else matrix
+
+
+def rcm_ordering(matrix: sp.spmatrix, *, symmetrize: bool = True) -> np.ndarray:
     """Reverse Cuthill--McKee ordering of the symmetrized pattern."""
-    pattern = symmetrized_pattern(matrix)
+    pattern = _pattern(matrix, symmetrize)
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     perm = reverse_cuthill_mckee(sp.csr_matrix(pattern), symmetric_mode=True)
     return np.asarray(perm, dtype=np.int64)
 
 
-def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
+def minimum_degree_ordering(
+    matrix: sp.spmatrix, *, symmetrize: bool = True
+) -> np.ndarray:
     """Greedy minimum-degree ordering with an explicit elimination graph.
 
     At every step the live vertex of least (current degree, index) is
@@ -75,7 +83,7 @@ def minimum_degree_ordering(matrix: sp.spmatrix) -> np.ndarray:
     >>> minimum_degree_ordering(grid_laplacian_2d(3)).tolist()
     [0, 2, 6, 8, 1, 3, 4, 5, 7]
     """
-    pattern = symmetrized_pattern(matrix)
+    pattern = _pattern(matrix, symmetrize)
     neighbours = [set(row) for row in adjacency_lists(pattern)]
     return np.asarray(_minimum_degree(neighbours), dtype=np.int64)
 
@@ -141,7 +149,7 @@ def _minimum_degree(neighbours: List[Set[int]]) -> List[int]:
 
 
 def nested_dissection_ordering(
-    matrix: sp.spmatrix, *, leaf_size: int = 32
+    matrix: sp.spmatrix, *, leaf_size: int = 32, symmetrize: bool = True
 ) -> np.ndarray:
     """Recursive nested dissection with BFS level-structure separators.
 
@@ -162,7 +170,7 @@ def nested_dissection_ordering(
     >>> nested_dissection_ordering(grid_laplacian_2d(4), leaf_size=4).tolist()
     [14, 13, 7, 11, 4, 8, 2, 1, 0, 5, 10, 15, 3, 6, 9, 12]
     """
-    pattern = symmetrized_pattern(matrix)
+    pattern = _pattern(matrix, symmetrize)
     n = pattern.shape[0]
     adjacency = adjacency_lists(pattern)
     marks = VertexMarks(n)

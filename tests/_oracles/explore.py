@@ -18,7 +18,9 @@ The :class:`ExploreSolver` keeps per-node *resume states* so that a later
 exploration of the same node with more memory continues from where the
 previous one stopped instead of starting from scratch -- this is the
 ``L_init`` / ``Tr_init`` mechanism of the paper, generalised to every node,
-and it is what makes MinMem fast in practice.
+and it is what makes MinMem fast in practice.  A node executed again
+(a call that cannot afford the traversal it saved) forgets every state
+below it, so its subtree is explored afresh.
 Setting ``reuse_states=False`` reproduces the literal pseudocode: between two
 top-level calls only the entry node's reached state (``L_init`` /
 ``Tr_init``) survives, and everything below it is re-explored.
@@ -163,6 +165,15 @@ class ExploreSolver:
         else:
             # Execute the node itself (paper lines 10-11).
             cut = list(tree.children(node))
+            if state is not None:
+                # executed again: the node drops the traversal it had
+                # reached, and with it every state below it
+                below = list(cut)
+                while below:
+                    j = below.pop()
+                    self._states.pop(j, None)
+                    peak_of[j] = tree.mem_req(j)
+                    below.extend(tree.children(j))
             chunks = [node]
             required = mem_req
             self.nodes_visited += 1

@@ -26,6 +26,7 @@ from repro.core.kernel import (
     kernel_liu,
     kernel_min_mem,
     kernel_postorder,
+    kernel_replay_traversal,
 )
 from repro.core.postorder import POSTORDER_RULES
 from repro.core.tree import Tree
@@ -202,3 +203,39 @@ def test_explore_solver_matches_the_oracle_over_budget_sequences(tree, data):
             _oracles.flatten_nodes(ref.traversal_chunks)
         )
         assert kernel.explore_calls == oracle.explore_calls
+
+
+@given(
+    tree=st.one_of(task_trees(max_nodes=12), shaped_trees(max_size=60), harpoons()),
+    data=st.data(),
+)
+@settings(max_examples=100)
+def test_explore_replays_and_completes_over_falling_then_rising_budgets(tree, data):
+    # the tree is explored to the end, falling budgets restart what it
+    # reached, rising ones resume it: every result replays to exactly its
+    # `required`, and a budget of MinMem's optimum finishes the tree again
+    floor = tree.max_mem_req()
+    optimum = _oracles.min_mem(tree).memory
+    offsets = st.lists(
+        st.integers(min_value=-2, max_value=int(optimum - floor) + 2),
+        min_size=1,
+        max_size=5,
+    )
+    falling = sorted(data.draw(offsets), reverse=True)
+    rising = sorted(data.draw(offsets))
+    budgets = [optimum] + [max(floor + k, 0.0) for k in falling + rising] + [optimum]
+    kern = tree.kernel()
+    kernel = KernelExploreSolver(kern)
+    oracle = _oracles.ExploreSolver(tree)
+    for memory in budgets:
+        resident, cut, order, peak, required = kernel.explore(memory)
+        ref = oracle.explore(tree.root, memory)
+        assert (resident, peak, required) == (ref.resident, ref.peak, ref.required)
+        assert kern.order_to_ids(order) == tuple(
+            _oracles.flatten_nodes(ref.traversal_chunks)
+        )
+        replayed, _, complete = kernel_replay_traversal(
+            kern, order, topdown=True, partial=True
+        )
+        assert replayed == required <= memory
+        assert complete or memory < optimum

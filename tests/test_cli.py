@@ -1,9 +1,17 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import selectors
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.serialize import save_tree
 from repro.generators.harpoon import harpoon_tree
@@ -166,6 +174,79 @@ class TestPipelineCommand:
         assert "error" in err and "square" in err
 
 
+_TREE = {"parents": [-1, 0, 0], "f": [0, 16, 9], "n": [10, 20, 12]}
+
+
+class _StdioDaemon:
+    """A ``serve --stdio`` subprocess behind real pipes; stdin stays open.
+
+    ``cap`` runs the daemon with that stdio line cap in place of
+    ``MAX_BODY_BYTES``.
+    """
+
+    def __init__(self, *args: str, cap: int = 0) -> None:
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "repro.cli"]
+        if cap:
+            command = [sys.executable, "-c", (
+                "import sys; import repro.service.stdio as stdio; "
+                f"stdio.MAX_BODY_BYTES = {cap}; "
+                "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+            )]
+        self.proc = subprocess.Popen(
+            command + ["serve", "--stdio", "--log-level", "warning", *args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            start_new_session=True,  # one group: the daemon and its workers
+        )
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.proc.stdout, selectors.EVENT_READ)
+        self.trailing = b""
+
+    def send(self, *docs) -> None:
+        """Write each document (or raw string) as one line, in one write."""
+        self.proc.stdin.write(b"".join(
+            (doc if isinstance(doc, str) else json.dumps(doc)).encode() + b"\n"
+            for doc in docs
+        ))
+        self.proc.stdin.flush()
+
+    def read_response(self, timeout: float = 20.0) -> dict:
+        deadline = time.monotonic() + timeout
+        while b"\n" not in self.trailing:
+            remaining = deadline - time.monotonic()
+            assert remaining > 0 and self._selector.select(remaining), (
+                f"no response within {timeout} s while stdin stayed open"
+            )
+            chunk = os.read(self.proc.stdout.fileno(), 1 << 16)
+            assert chunk, "the daemon closed its stdout"
+            self.trailing += chunk
+        line, self.trailing = self.trailing.split(b"\n", 1)
+        return json.loads(line)
+
+    def finish(self, timeout: float):
+        """Close stdin (EOF) and wait for the exit; (stdout rest, stderr)."""
+        self._selector.close()
+        out, err = self.proc.communicate(timeout=timeout)
+        self.trailing += out
+        return out, err
+
+    def kill(self) -> None:
+        self._selector.close()
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self.proc.wait()
+        for stream in (self.proc.stdin, self.proc.stdout, self.proc.stderr):
+            try:
+                stream.close()
+            except BrokenPipeError:
+                pass
+
+
 class TestServeCommand:
     def test_requires_a_mode(self):
         with pytest.raises(SystemExit):
@@ -233,64 +314,90 @@ class TestServeCommand:
         # thread is blocked on stdin; each forked worker closes the
         # inherited sys.stdin as it starts, so the reader must not hold
         # that stream's lock
-        import os
-        import selectors
-        import signal
-        import subprocess
-        import sys
-        import time
-        from pathlib import Path
-
-        import repro
-
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--stdio",
-             "--workers", "2", "--log-level", "warning"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            start_new_session=True,  # one group: the daemon and its workers
-        )
-        selector = selectors.DefaultSelector()
-        selector.register(proc.stdout, selectors.EVENT_READ)
-        pending = b""
-
-        def read_response(timeout: float = 20.0) -> dict:
-            nonlocal pending
-            deadline = time.monotonic() + timeout
-            while b"\n" not in pending:
-                remaining = deadline - time.monotonic()
-                assert remaining > 0 and selector.select(remaining), (
-                    f"no response within {timeout} s while stdin stayed open"
-                )
-                chunk = os.read(proc.stdout.fileno(), 1 << 16)
-                assert chunk, "the daemon closed its stdout"
-                pending += chunk
-            line, pending = pending.split(b"\n", 1)
-            return json.loads(line)
-
-        tree = {"parents": [-1, 0, 0], "f": [0, 16, 9], "n": [10, 20, 12]}
+        daemon = _StdioDaemon("--workers", "2")
         try:
             for request_id in ("w1", "w2"):
-                doc = {"id": request_id, "tree": tree, "algorithm": "minmem"}
-                proc.stdin.write(json.dumps(doc).encode() + b"\n")
-                proc.stdin.flush()
-                response = read_response()
+                daemon.send({"id": request_id, "tree": _TREE, "algorithm": "minmem"})
+                response = daemon.read_response()
                 assert (response["id"], response["status"]) == (request_id, "ok")
                 assert response["report"]["peak_memory"] == 37.0
-            selector.close()
             # closing stdin (EOF) must stop the daemon and its workers
-            _, err = proc.communicate(timeout=30)
-            assert proc.returncode == 0, err.decode()
+            _, err = daemon.finish(timeout=30)
+            assert daemon.proc.returncode == 0, err.decode()
             assert b"leaked shared_memory" not in err, err.decode()
         finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            proc.wait()
+            daemon.kill()
+
+    def test_shutdown_line_ends_the_daemon_while_stdin_stays_open(self):
+        # the reader thread is blocked on the open stdin when the shutdown
+        # line is served; the daemon must exit without waiting for EOF
+        daemon = _StdioDaemon()
+        try:
+            daemon.send(
+                {"id": "s1", "tree": _TREE, "algorithm": "minmem"}, {"op": "shutdown"}
+            )
+            response = daemon.read_response()
+            assert (response["id"], response["status"]) == ("s1", "ok")
+            assert daemon.proc.wait(timeout=5) == 0
+        finally:
+            daemon.kill()
+
+    def test_a_burst_of_requests_gets_one_whole_line_each(self):
+        import random
+
+        from repro.core.tree import Tree
+        from repro.solvers import solve
+
+        rng = random.Random(24)
+        docs = []
+        for i in range(200):
+            size = rng.randint(1, 30)
+            tree = {
+                "parents": [-1] + [rng.randrange(k) for k in range(1, size)],
+                "f": [rng.randint(1, 20) for _ in range(size)],
+                "n": [rng.randint(0, 5) for _ in range(size)],
+            }
+            algorithm = ("postorder", "liu", "minmem")[i % 3]
+            docs.append({"id": f"b{i}", "tree": tree, "algorithm": algorithm})
+        # a bound above the burst: admission control may refuse what
+        # exceeds --max-pending, and this test is about the lines
+        daemon = _StdioDaemon("--max-pending", "256")
+        try:
+            daemon.send(*docs)
+            responses = [daemon.read_response() for _ in docs]
+            _, err = daemon.finish(timeout=30)
+            assert daemon.proc.returncode == 0, err.decode()
+        finally:
+            daemon.kill()
+        assert daemon.trailing == b""
+        by_id = {response["id"]: response for response in responses}
+        assert sorted(by_id) == sorted(doc["id"] for doc in docs)
+        for doc in docs:
+            response = by_id[doc["id"]]
+            assert response["status"] == "ok", response
+            payload = doc["tree"]
+            tree = Tree.from_parents(payload["parents"], payload["f"], payload["n"])
+            expected = solve(tree, doc["algorithm"]).peak_memory
+            assert response["report"]["peak_memory"] == expected, doc["id"]
+
+    def test_a_line_over_the_cap_through_a_pipe_is_refused(self):
+        # the daemon runs with a small cap so the pipe carries a few
+        # kilobytes, not the 64 MiB of the real one
+        cap = 1000
+        daemon = _StdioDaemon(cap=cap)
+        try:
+            daemon.send("x" * (5 * cap))  # drained over several reads
+            refused = daemon.read_response()
+            assert refused["status"] == "bad_request"
+            assert f"exceeds {cap} characters" in refused["error"]["message"]
+            daemon.send({"id": "after", "tree": _TREE, "algorithm": "minmem"})
+            served = daemon.read_response()
+            assert (served["id"], served["status"]) == ("after", "ok")
+            assert served["report"]["peak_memory"] == 37.0
+            _, err = daemon.finish(timeout=30)
+            assert daemon.proc.returncode == 0, err.decode()
+        finally:
+            daemon.kill()
 
     def test_stdio_answers_bad_weights_with_bad_request(self, monkeypatch, capsys):
         import io

@@ -426,6 +426,45 @@ class TestExploreSolver:
                 assert kernel.explore_calls == oracle.explore_calls
         assert root_restarts > 0
 
+    @pytest.mark.parametrize(
+        "parents, f, n, budgets",
+        [
+            # a child explored to the end kept peak_of = inf after its
+            # parent restarted, and was never admitted again
+            ([-1, 0, 1], [1.0, 1.0, 5.0], [0.0] * 3, (100.0, 3.0, 100.0)),
+            # a merged child's saved cut ([2] under node 1) had moved on
+            # through the root, so resuming it after the root restarted
+            # met node 2 with peak_of = inf
+            (
+                [-1, 0, 1, 0, 2, 4],
+                [2.0, 7.0, 3.0, 2.0, 6.0, 7.0],
+                [5.0, 5.0, 0.0, 2.0, 5.0, 1.0],
+                (18.0, 17.0, 18.0),
+            ),
+        ],
+    )
+    def test_a_restart_explores_the_subtree_afresh(self, parents, f, n, budgets):
+        tree = Tree.from_parents(parents, f, n)
+        kern = tree.kernel()
+        kernel = KernelExploreSolver(kern)
+        oracle = ExploreSolver(tree)
+        results = []
+        for memory in budgets:
+            resident, cut, order, peak, required = kernel.explore(memory)
+            ref = oracle.explore(tree.root, memory)
+            assert (resident, peak, required) == (ref.resident, ref.peak, ref.required)
+            assert kern.order_to_ids(order) == tuple(
+                _oracles.flatten_nodes(ref.traversal_chunks)
+            )
+            results.append((order, peak))
+        # the smaller budget restarts the root and stops short, with a
+        # finite next peak; the last budget finishes the tree again, as a
+        # fresh solver does
+        (_, restarted_peak), (order, peak) = results[1], results[2]
+        assert restarted_peak != math.inf
+        assert len(order) == tree.size and peak == math.inf
+        assert order == KernelExploreSolver(kern).explore(budgets[2])[2]
+
     def test_starved_root_returns_nothing(self):
         tree = chain_tree(5, f=2.0, n=1.0)
         solver = KernelExploreSolver(tree.kernel())

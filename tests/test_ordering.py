@@ -85,6 +85,32 @@ class TestQuality:
         perm = nested_dissection_ordering(a)
         assert is_permutation(perm, 25 + 36)
 
+    @pytest.mark.parametrize("name", sorted(ORDERINGS))
+    def test_a_symmetric_pattern_needs_no_second_pass(self, name, monkeypatch):
+        # the pipeline hands the orderings its symmetrized pattern once
+        import repro.sparse.assembly as assembly
+        import repro.sparse.ordering as ordering
+        from repro.sparse.graph import symmetrized_pattern
+
+        a = random_spd(120, density=0.04, seed=9).tolil()
+        a[3, 90] = 1.0  # one-sided entries: the raw matrix is not symmetric
+        a[100, 7] = 1.0
+        a = a.tocsc()
+        expected = ORDERINGS[name](a)
+        pattern = symmetrized_pattern(a)
+        assert np.array_equal(ORDERINGS[name](pattern, symmetrize=False), expected)
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return symmetrized_pattern(matrix)
+
+        monkeypatch.setattr(assembly, "symmetrized_pattern", counted)
+        monkeypatch.setattr(ordering, "symmetrized_pattern", counted)
+        result = assembly.build_assembly_tree(a, ordering=name)
+        assert calls == [a.shape]
+        assert np.array_equal(result.permutation, expected)
+
     def test_deterministic(self):
         a = grid_laplacian_2d(8)
         for name, func in ORDERINGS.items():

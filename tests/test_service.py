@@ -289,6 +289,30 @@ class TestDaemon:
 
         run(body())
 
+    def test_a_deadline_cancels_a_solve_waiting_in_the_thread_pool(self):
+        # two solves in flight on the in-process pool's one thread: the
+        # second waits in the pool's queue, and a deadline that fires there
+        # cancels it, as it cancels an engine future not yet started
+        async def body():
+            async with SolverService() as svc:
+                interner = svc.interner
+                doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
+                       "options": {"seconds": 0.3}}
+                blocker = svc.submit_nowait(parse_request(dict(doc), interner))
+                doomed = svc.submit_nowait(
+                    parse_request(dict(doc, deadline=0.05), interner)
+                )
+                response = await doomed
+                assert response.status == "deadline"
+                assert response.error.stage == "executing"
+                assert (await blocker).ok
+                t0 = time.perf_counter()
+                assert (await svc.handle({"tree": PARENTS})).ok
+                # the thread went on to this request, not to the doomed sleep
+                assert time.perf_counter() - t0 < 0.2
+
+        run(body())
+
     def test_deadline_expires_while_executing(self):
         async def body():
             async with SolverService(max_inflight=1) as svc:
@@ -409,7 +433,7 @@ class TestStdioFrontEnd:
             async def read_line():
                 return await feed.get()
 
-            async def write_line(text):
+            def write_line(text):
                 out.append(json.loads(text))
 
             async with SolverService() as svc:
@@ -436,6 +460,15 @@ class TestStdioFrontEnd:
         assert len(stats_docs) == 1
         assert snapshot["completed"] == 2
         assert snapshot["bad_requests"] == 1
+
+    def test_requests_are_admitted_in_line_order(self):
+        # every line is already read when the loop first looks: a stats
+        # line still counts each request above it as accepted
+        lines = [json.dumps({"id": f"r{i}", "tree": PARENTS}) for i in range(5)]
+        out, snapshot = self._drive(lines + [json.dumps({"op": "stats"})] + lines[:1])
+        (stats,) = [doc["stats"] for doc in out if doc.get("op") == "stats"]
+        assert stats["accepted"] == 5
+        assert snapshot["accepted"] == snapshot["completed"] == 6
 
     def test_shutdown_op_stops_reading(self):
         out, snapshot = self._drive([
@@ -709,7 +742,7 @@ class TestObservability:
             async def read_line():
                 return await feed.get()
 
-            async def write_line(text):
+            def write_line(text):
                 out.append(json.loads(text))
 
             async with SolverService() as svc:
