@@ -17,7 +17,9 @@ produces.  This module adds that axis:
   ``inproc`` (direct ``handle()`` calls) or ``stdio`` (full NDJSON
   round-trip through :func:`~repro.service.serve_stdio`, the transport CI
   uses) -- firing requests *at their arrival time* regardless of how slow
-  the service answers (that is what makes it open-loop);
+  the service answers (that is what makes it open-loop).  The stdio front
+  end paces its intake by ``max_pending`` instead of rejecting past it, so
+  only ``inproc`` shows admission-control rejections;
 * **traffic scenarios** over the campaign's service tree mixes
   (:mod:`repro.bench.scenarios`), each a set of cells sweeping arrival
   process and offered rate;

@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "0 or 1 solve in-process (default: in-process)")
     p_serve.add_argument("--max-pending", type=int, default=128, metavar="N",
                          help="admission bound on queued+executing requests; "
-                              "beyond it requests are rejected (default: 128)")
+                              "beyond it HTTP requests are rejected and stdio "
+                              "intake waits (default: 128)")
     p_serve.add_argument("--max-inflight", type=int, default=None, metavar="N",
                          help="solves running concurrently (default: sized "
                               "from the executor)")

@@ -189,11 +189,9 @@ class SolverService:
         Admission bound on requests alive in the service (queued plus
         executing).  Submissions beyond it raise :class:`QueueFullError`.
     max_inflight:
-        Solves handed to the executor at once, running or waiting in its
-        queue; defaults to ``2 x max(1, workers)``.  One extra per worker
-        keeps every worker busy while the event loop hands it the next
-        request: it hides the IPC latency on the engine, and lets the
-        in-process pool's single thread go straight on to the next solve.
+        Solves running concurrently; defaults to ``2 x workers`` on the
+        engine (one extra per worker hides IPC latency at the boundary) and
+        ``workers or 1`` in-process.
     default_deadline:
         Deadline (seconds) applied to requests that do not carry one;
         ``None`` = no implicit deadline.
@@ -239,7 +237,10 @@ class SolverService:
             )
         self.max_pending = max_pending
         if max_inflight is None:
-            max_inflight = 2 * max(1, self.workers)
+            if self.pool_mode == "persistent":
+                max_inflight = 2 * self.workers
+            else:
+                max_inflight = max(1, self.workers)
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         self.max_inflight = max_inflight
@@ -544,8 +545,8 @@ class SolverService:
             try:
                 report, tier = await self._run_cell(cell, pending)
             except asyncio.CancelledError:
-                # the watchdog cancelled a not-yet-started solve (or an
-                # aborting close tore the pool down); the response -- a
+                # the watchdog cancelled a not-yet-started engine future (or
+                # an aborting close tore the pool down); the response -- a
                 # deadline or closed error -- is already settled
                 return
             except ServiceError as exc:
@@ -636,26 +637,22 @@ class SolverService:
                 else:
                     self.breaker.record_success()
                     return report, self._engine.backend_name
+        loop = asyncio.get_running_loop()
         if trace is not None:
             # thread fallback: the dispatch span (if still open) ends here;
             # after a broken-pool retry it is already closed and the second
             # solve stretch simply extends the summed solve duration
             trace.end_if_open("dispatch")
             trace.begin("solve")
-        # kept like an engine future, so that a deadline cancels a solve
-        # still waiting in the pool's queue
-        pending.exec_future = self._threads().submit(_solve_task, cell)
-        report = await asyncio.wrap_future(pending.exec_future)
+        report = await loop.run_in_executor(self._threads(), _solve_task, cell)
         return report, ("threads" if self._engine is not None else "serial")
 
     def _threads(self):
         if self._thread_pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            # as many threads as workers: the solves beyond them wait in the
-            # pool's queue, so a thread goes straight on to the next one
             self._thread_pool = ThreadPoolExecutor(
-                max_workers=max(1, self.workers),
+                max_workers=self.max_inflight,
                 thread_name_prefix="repro-service",
             )
         return self._thread_pool
@@ -677,8 +674,8 @@ class SolverService:
             queue_seconds = pending.dispatched_at - request.accepted_at
             solve_seconds = now - pending.dispatched_at
         if pending.exec_future is not None:
-            # cooperative cancellation: a future still in its pool's queue
-            # dies here; a running solve merely gets abandoned
+            # cooperative cancellation: an engine future still in the pool
+            # queue dies here; a running solve merely gets abandoned
             pending.exec_future.cancel()
         log_event(
             _log, "deadline_miss", level=logging.WARNING,

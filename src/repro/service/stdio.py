@@ -11,12 +11,15 @@ deterministic to drive.  Each input line is either a solve request (the
 The ``metrics`` body is the same Prometheus text document ``GET /metrics``
 serves on the HTTP front end, carried as one JSON string.
 
-Requests run concurrently -- intake never waits on a solve -- and responses
-are written as they complete, one JSON document per line, matched to
-requests by ``id``.  Requests are admitted in line order, so a ``stats``
-line counts every request above it.  EOF (or ``shutdown``) stops intake;
-in-flight requests still drain to a response line before
-:func:`serve_stdio` returns.
+Requests run concurrently and responses are written as they complete, one
+JSON document per line, matched to requests by ``id``.  Requests are
+admitted in line order, so a ``stats`` line counts every request above it.
+A stdio client cannot back off the way an HTTP client can, so intake is
+paced by the admission bound instead of refused by it: while
+``max_pending`` requests are alive, the next line waits for one of them to
+be answered.  A piped batch of any size is therefore answered, never
+``rejected``.  EOF (or ``shutdown``) stops intake; in-flight requests still
+drain to a response line before :func:`serve_stdio` returns.
 
 A line longer than the HTTP front end's body cap is read no further than
 the cap, drained to its end and answered with ``bad_request``; the next
@@ -24,18 +27,22 @@ line is served as usual.
 
 :func:`run_stdio_server` reads stdin on one reader thread that lives as
 long as the daemon, and writes every response on the event loop's thread.
-While a response write blocks, the loop takes no new line: a client that
-stops reading stdout stalls intake too.
+While a response write blocks, or intake waits on the admission bound, the
+loop admits no new line, but the reader goes on reading stdin into memory.
+A client that writes its whole batch before it reads therefore cannot
+deadlock on the pipes; one that never reads stdout grows the daemon by
+what it writes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import os
 import sys
 import threading
-from typing import Any, Awaitable, Callable, Dict, Optional, TextIO, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, TextIO
 
 from .daemon import SolverService
 from .errors import BadRequestError
@@ -57,18 +64,23 @@ async def serve_stdio(
 
     ``read_line`` is an async callable yielding one line per call (``None``
     at EOF); it raises :class:`BadRequestError` for a line it refuses to
-    read.  ``write_line`` is a plain callable that writes one whole line
-    before it returns.  It is called on the event loop's thread only, so
-    response lines never interleave.  Tests drive the front end with
-    in-memory queues; the CLI wires it to real stdin/stdout.
+    read.  ``write_line`` is a plain callable (not a coroutine function:
+    :class:`TypeError`) that writes one whole line before it returns.  It
+    is called on the event loop's thread only, so response lines never
+    interleave.  Tests drive the front end with in-memory queues; the CLI
+    wires it to real stdin/stdout.
     """
+    if inspect.iscoroutinefunction(write_line):
+        raise TypeError("write_line must be a plain callable, not a coroutine function")
     waiting: set = set()
+    answered = asyncio.Event()
 
     def emit(doc: Dict[str, Any]) -> None:
         write_line(json.dumps(doc, separators=(",", ":")))
 
     def respond(future: "asyncio.Future") -> None:
         waiting.discard(future)
+        answered.set()
         emit(future.result().to_dict())
 
     def refuse(exc: BadRequestError) -> None:
@@ -106,6 +118,9 @@ async def serve_stdio(
             continue
         if op == "shutdown":
             break
+        while waiting and service.pending >= service.max_pending:
+            answered.clear()
+            await answered.wait()
         future = service.handle_nowait(doc)
         waiting.add(future)
         future.add_done_callback(respond)
@@ -117,22 +132,20 @@ async def serve_stdio(
     return service.snapshot()
 
 
-def _open_stdin() -> Tuple[TextIO, bool]:
-    """A private text stream over stdin's descriptor, and whether it is ours.
+def _open_stdin() -> TextIO:
+    """A private text stream over stdin's descriptor (``sys.stdin`` if none).
 
     Worker processes forked by a process pool close the inherited
     ``sys.stdin`` as they start.  If the reader thread is blocked in
     ``sys.stdin.readline()`` at fork time, the child inherits that stream's
     lock held and waits on it forever.  A stream over a duplicate
-    descriptor leaves ``sys.stdin``'s lock free.  An in-memory stand-in
-    has no descriptor and nothing a fork can block on; it is read as is.
+    descriptor leaves ``sys.stdin``'s lock free.
     """
     try:
         fd = sys.stdin.fileno()
-    except OSError:
-        return sys.stdin, False
-    stream = open(os.dup(fd), encoding=sys.stdin.encoding, errors=sys.stdin.errors)
-    return stream, True
+    except OSError:  # an in-memory stand-in: nothing a fork can block on
+        return sys.stdin
+    return open(os.dup(fd), encoding=sys.stdin.encoding, errors=sys.stdin.errors)
 
 
 def _read_capped(stdin: TextIO) -> Optional[str]:
@@ -146,7 +159,7 @@ def _read_capped(stdin: TextIO) -> Optional[str]:
 
 
 def _read_lines(
-    stdin: TextIO, owned: bool, loop: asyncio.AbstractEventLoop, deliver: Callable
+    stdin: TextIO, loop: asyncio.AbstractEventLoop, deliver: Callable
 ) -> None:
     """The reader thread: hand each line, refusal and EOF to the loop.
 
@@ -167,7 +180,7 @@ def _read_lines(
             break
         if not isinstance(item, (str, BadRequestError)):  # EOF, or unreadable
             break
-    if owned:
+    if stdin is not sys.stdin:
         stdin.close()
 
 
@@ -183,10 +196,10 @@ async def run_stdio_server(service: SolverService) -> Dict[str, Any]:
     """
     loop = asyncio.get_running_loop()
     lines: "asyncio.Queue" = asyncio.Queue()
-    stdin, owned = _open_stdin()
+    stdin = _open_stdin()
     threading.Thread(
         target=_read_lines,
-        args=(stdin, owned, loop, lines.put_nowait),
+        args=(stdin, loop, lines.put_nowait),
         name="repro-stdio-reader",
         daemon=True,
     ).start()

@@ -289,30 +289,6 @@ class TestDaemon:
 
         run(body())
 
-    def test_a_deadline_cancels_a_solve_waiting_in_the_thread_pool(self):
-        # two solves in flight on the in-process pool's one thread: the
-        # second waits in the pool's queue, and a deadline that fires there
-        # cancels it, as it cancels an engine future not yet started
-        async def body():
-            async with SolverService() as svc:
-                interner = svc.interner
-                doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
-                       "options": {"seconds": 0.3}}
-                blocker = svc.submit_nowait(parse_request(dict(doc), interner))
-                doomed = svc.submit_nowait(
-                    parse_request(dict(doc, deadline=0.05), interner)
-                )
-                response = await doomed
-                assert response.status == "deadline"
-                assert response.error.stage == "executing"
-                assert (await blocker).ok
-                t0 = time.perf_counter()
-                assert (await svc.handle({"tree": PARENTS})).ok
-                # the thread went on to this request, not to the doomed sleep
-                assert time.perf_counter() - t0 < 0.2
-
-        run(body())
-
     def test_deadline_expires_while_executing(self):
         async def body():
             async with SolverService(max_inflight=1) as svc:
@@ -421,8 +397,11 @@ class TestDaemon:
 # front ends
 # ----------------------------------------------------------------------
 class TestStdioFrontEnd:
-    def _drive(self, lines):
-        """Feed lines to serve_stdio; (response docs, final snapshot)."""
+    def _drive(self, lines, **options):
+        """Feed lines to serve_stdio; (response docs, final snapshot).
+
+        ``options`` go to the :class:`SolverService` the lines are fed to.
+        """
         async def body():
             feed = asyncio.Queue()
             for line in lines:
@@ -436,7 +415,7 @@ class TestStdioFrontEnd:
             def write_line(text):
                 out.append(json.loads(text))
 
-            async with SolverService() as svc:
+            async with SolverService(**options) as svc:
                 snapshot = await serve_stdio(svc, read_line, write_line)
             return out, snapshot
 
@@ -469,6 +448,37 @@ class TestStdioFrontEnd:
         (stats,) = [doc["stats"] for doc in out if doc.get("op") == "stats"]
         assert stats["accepted"] == 5
         assert snapshot["accepted"] == snapshot["completed"] == 6
+
+    def test_intake_is_paced_by_the_admission_bound(self):
+        # a stdio client cannot back off: past max_pending the next line
+        # waits for an answer instead of being refused as queue-full
+        doc = {"tree": PARENTS, "algorithm": "svc_sleepy",
+               "options": {"seconds": 0.01}}
+        lines = [json.dumps(dict(doc, id=f"p{i}")) for i in range(8)]
+        out, snapshot = self._drive(
+            lines + [json.dumps({"op": "stats"})], max_pending=2, max_inflight=1
+        )
+        by_id = {d["id"]: d for d in out if "op" not in d}
+        assert sorted(by_id) == sorted(f"p{i}" for i in range(8))
+        assert all(d["status"] == "ok" for d in by_id.values())
+        (stats,) = [d["stats"] for d in out if d.get("op") == "stats"]
+        assert stats["accepted"] == 8
+        assert snapshot["rejected"] == 0
+        assert snapshot["max_queue_depth"] <= 2
+
+    def test_write_line_must_be_a_plain_callable(self):
+        async def body():
+            async def read_line():
+                return None
+
+            async def write_line(text):
+                pass
+
+            async with SolverService() as svc:
+                with pytest.raises(TypeError, match="write_line"):
+                    await serve_stdio(svc, read_line, write_line)
+
+        run(body())
 
     def test_shutdown_op_stops_reading(self):
         out, snapshot = self._drive([
